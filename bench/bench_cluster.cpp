@@ -28,15 +28,16 @@ namespace {
 
 geo::Rect benchUniverse() { return geo::Rect::fromOrigin({0, 0}, 100, 50); }
 
-std::vector<std::string> spaceTokens(std::size_t shards) {
+std::vector<std::string> memberTokens(std::size_t shards) {
   std::vector<std::string> tokens;
   for (std::size_t i = 0; i < shards; ++i) tokens.push_back("s" + std::to_string(i));
   return tokens;
 }
 
 /// A registry, N shard hosts sharing one world config, and the router.
-/// `spatial` switches both sides to territory partitioning (spaceToken
-/// members + a Partitioning::Spatial router) instead of object hashing.
+/// Object hashing runs on a fixed ring; `spatial` switches both sides to
+/// territory partitioning (spaceToken members + a Partitioning::Spatial
+/// router).
 struct ClusterFixture {
   util::VirtualClock clock;
   core::RegistryServer registry;
@@ -44,15 +45,10 @@ struct ClusterFixture {
   std::unique_ptr<cluster::ClusterLocationService> router;
 
   explicit ClusterFixture(std::size_t shards, bool enableShm = true, bool spatial = false) {
-    const auto tokens = spaceTokens(shards);
+    const auto tokens = memberTokens(shards);
     for (std::size_t i = 0; i < shards; ++i) {
       cluster::ShardHost::Options opts;
-      if (spatial) {
-        opts.spaceToken = tokens[i];
-      } else {
-        opts.index = i;
-        opts.total = shards;
-      }
+      (spatial ? opts.spaceToken : opts.ringToken) = tokens[i];
       opts.enableShm = enableShm;
       auto host = std::make_unique<cluster::ShardHost>(clock, benchUniverse(), "SC",
                                                        "127.0.0.1", registry.port(), opts);
@@ -116,8 +112,8 @@ struct ClusterFixture {
 
 }  // namespace
 
-// Object-keyed path: blocking ingest + locate round trips routed by
-// hash(object) to the owning shard. Arg = cluster width.
+// Object-keyed path: blocking ingest + locate round trips routed by the
+// hash ring to the owning shard. Arg = cluster width.
 static void BM_ClusterRoutedIngestLocate(benchmark::State& state) {
   const auto shards = static_cast<std::size_t>(state.range(0));
   ClusterFixture f(shards);
@@ -213,8 +209,7 @@ static void BM_ClusterReplicatedIngest(benchmark::State& state) {
   std::unique_ptr<cluster::ShardHost> backup;
   if (replicated) {
     cluster::ShardHost::Options opts;
-    opts.index = 0;
-    opts.total = 1;
+    opts.ringToken = memberTokens(1).front();
     opts.role = cluster::ShardHost::Role::Backup;
     opts.heartbeatPeriod = util::msec(50);
     backup = std::make_unique<cluster::ShardHost>(
@@ -272,7 +267,7 @@ static void BM_ClusterRegionQuerySmall(benchmark::State& state) {
         f.makeReading("p" + std::to_string(i), {rng.uniform(1, 99), rng.uniform(1, 49)}));
   }
 
-  const auto map = cluster::TerritoryMap::uniform(benchUniverse(), spaceTokens(shards));
+  const auto map = cluster::TerritoryMap::uniform(benchUniverse(), memberTokens(shards));
   const auto region = geo::Rect::centeredSquare(map.leaves().front().rect.center(), 2.0);
   std::uint64_t ops = 0;
   for (auto _ : state) {
@@ -298,7 +293,8 @@ BENCHMARK(BM_ClusterRegionQuerySmall)
 // territory split, then a second reading either on the same side (Arg 0 —
 // plain two-reading ingest, the baseline) or across the boundary (Arg 1 —
 // the router migrates the object's log over a live handoff session:
-// begin/adopt/export/import/flush/end plus the home flip). The delta
+// migrate.begin/adopt, export/import, migrate.flush/end, plus the home
+// flip). The delta
 // between the rows is the full price of one online migration;
 // "object_migrations" proves the crossing rows actually migrated.
 static void BM_ClusterTerritoryMigration(benchmark::State& state) {

@@ -2,8 +2,9 @@
 // registry — the paper's discovery-then-route pattern stretched over a
 // partition.
 //
-// Stands up a live RegistryServer and two ShardHosts on distinct TCP ports,
-// routes every object to its owning shard through a ClusterLocationService,
+// Stands up a live RegistryServer and two ShardHosts on distinct TCP ports as
+// a fixed consistent-hash ring, routes every object to its owning shard
+// through a ClusterLocationService,
 // shows cluster-wide region queries answered by scatter-gather, then kills
 // one shard and demonstrates the degraded-but-answering failure mode plus
 // probe-based re-admission after a restart.
@@ -52,11 +53,10 @@ db::SensorReading reading(const util::Clock& clock, const std::string& object, g
   return r;
 }
 
-std::unique_ptr<cluster::ShardHost> startShard(const util::Clock& clock, std::size_t index,
-                                               std::size_t total, std::uint16_t registryPort) {
+std::unique_ptr<cluster::ShardHost> startShard(const util::Clock& clock, const std::string& token,
+                                               std::uint16_t registryPort) {
   cluster::ShardHost::Options opts;
-  opts.index = index;
-  opts.total = total;
+  opts.ringToken = token;
   auto host = std::make_unique<cluster::ShardHost>(
       clock, geo::Rect::fromOrigin({0, 0}, 100, 50), "SC", "127.0.0.1", registryPort, opts);
   configureWorld(host->core());
@@ -70,12 +70,13 @@ int main() {
   util::VirtualClock clock;
 
   // 1. The name service, then two shard processes announcing themselves as
-  //    location.shard.0/2 and location.shard.1/2 with TTL heartbeats.
+  //    ring members location.ring.s0 and location.ring.s1 with TTL
+  //    heartbeats.
   core::RegistryServer registry;
   std::cout << "registry on port " << registry.port() << "\n";
   std::vector<std::unique_ptr<cluster::ShardHost>> shards;
-  shards.push_back(startShard(clock, 0, 2, registry.port()));
-  shards.push_back(startShard(clock, 1, 2, registry.port()));
+  shards.push_back(startShard(clock, "s0", registry.port()));
+  shards.push_back(startShard(clock, "s1", registry.port()));
   for (const auto& s : shards) {
     std::cout << "  " << s->name() << " serving on port " << s->port() << "\n";
   }
@@ -90,7 +91,7 @@ int main() {
   cluster::ClusterLocationService router("127.0.0.1", registry.port(), opts);
   std::cout << "router sees " << router.shardCount() << " shards\n";
 
-  // 3. Object-keyed traffic routes by hash(object) to the owning shard.
+  // 3. Object-keyed traffic routes by the hash ring to the owning shard.
   const std::vector<std::string> people = {"alice", "bob", "carol", "dave"};
   for (std::size_t i = 0; i < people.size(); ++i) {
     router.ingest(reading(clock, people[i], {3.0 + 3.0 * static_cast<double>(i), 5.0}));
@@ -120,11 +121,11 @@ int main() {
             << " failures=" << stats.shards[1].failures
             << "; failed routed calls=" << stats.failedRoutedCalls << "\n";
 
-  // 6. Restart it. The heartbeat re-announces, refreshShardMap picks up the
+  // 6. Restart it. The heartbeat re-announces, refreshMembers picks up the
   //    fresh endpoint, and the health probe re-admits the shard.
   std::cout << "restarting shard 1...\n";
-  shards[1] = startShard(clock, 1, 2, registry.port());
-  router.refreshShardMap();
+  shards[1] = startShard(clock, "s1", registry.port());
+  router.refreshMembers();
   for (int i = 0; i < 100 && router.stats().shards[1].down; ++i) {
     router.probeDownShards();
     std::this_thread::sleep_for(std::chrono::milliseconds(10));

@@ -7,8 +7,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "orb/shm.hpp"
-#include "orb/tcp.hpp"
+#include "cluster/replication.hpp"
 #include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
@@ -19,23 +18,6 @@ namespace {
 
 /// Claim sentinel for a per-shard subscription registration in flight.
 constexpr std::uint64_t kSubPending = ~0ULL;
-
-/// Announced spatial members resolved from a live registry, same shape as
-/// the ring resolver (tokens sorted, endpoints parallel).
-RingMemberMap resolveSpaceMembers(core::RegistryClient& registry) {
-  RingMemberMap map;
-  for (const std::string& name : registry.list()) {
-    auto token = parseSpaceMemberName(name);
-    if (!token) continue;  // unrelated service sharing the registry
-    map.tokens.push_back(std::move(*token));
-  }
-  std::sort(map.tokens.begin(), map.tokens.end());
-  map.endpoints.reserve(map.tokens.size());
-  for (const std::string& token : map.tokens) {
-    map.endpoints.push_back(registry.lookup(spaceMemberName(token)));
-  }
-  return map;
-}
 
 /// Slot accessor that tolerates a shard list that grew since this sub's id
 /// vector was sized (ring mode appends members at any refresh). Call with
@@ -54,157 +36,109 @@ ClusterLocationService::ClusterLocationService(const std::string& registryHost,
 ClusterLocationService::ClusterLocationService(const std::string& registryHost,
                                                std::uint16_t registryPort, Options options)
     : options_(options), registry_(registryHost, registryPort) {
-  if (options_.partitioning == Partitioning::Spatial) {
-    mw::util::require(!options_.universe.empty(),
-                      "ClusterLocationService: spatial partitioning needs Options::universe");
-    RingMemberMap members = resolveSpaceMembers(registry_);
-    if (members.tokens.empty()) {
-      throw mw::util::NotFoundError(
-          "ClusterLocationService: no location.space.* entry in the registry");
-    }
-    applySpaceMembers(members);
-    return;
+  mw::util::require(options_.partitioning != Partitioning::Spatial || !options_.universe.empty(),
+                    "ClusterLocationService: spatial partitioning needs Options::universe");
+  MemberMap members = resolveMembers(registry_, options_.partitioning);
+  if (members.tokens.empty()) {
+    throw mw::util::NotFoundError("ClusterLocationService: no " +
+                                  memberName(options_.partitioning, "*") +
+                                  " entry in the registry");
   }
-  if (options_.partitioning == Partitioning::Ring) {
-    RingMemberMap members = resolveRingMembers(registry_);
-    if (members.tokens.empty()) {
-      throw mw::util::NotFoundError(
-          "ClusterLocationService: no location.ring.* entry in the registry");
-    }
-    applyRingMembers(members);
-    return;
-  }
-  ShardMap map = resolveShardMap(registry_);
-  if (map.total == 0) {
-    throw mw::util::NotFoundError(
-        "ClusterLocationService: no location.shard.* entry in the registry");
-  }
-  total_ = map.total;
-  auto shards = std::make_shared<std::vector<std::shared_ptr<Shard>>>();
-  shards->reserve(total_);
-  for (std::size_t i = 0; i < total_; ++i) {
-    auto shard = std::make_shared<Shard>(options_.retry);
-    shard->index = i;
-    shard->endpoint = map.endpoints[i];
-    shards->push_back(std::move(shard));
-  }
-  {
-    std::lock_guard lock(shardsMutex_);
-    shards_ = std::move(shards);
-  }
+  applyMembers(members);
 }
 
-std::shared_ptr<std::vector<std::shared_ptr<ClusterLocationService::Shard>>>
-ClusterLocationService::shardsSnapshot() const {
-  std::lock_guard lock(shardsMutex_);
-  return shards_;
+std::shared_ptr<const ClusterLocationService::Topology> ClusterLocationService::topology() const {
+  std::lock_guard lock(topologyMutex_);
+  return topology_;
 }
 
-std::shared_ptr<const ClusterLocationService::RingState> ClusterLocationService::ringSnapshot()
-    const {
-  std::lock_guard lock(shardsMutex_);
-  return ringState_;
-}
-
-std::size_t ClusterLocationService::shardCount() const {
-  if (options_.partitioning == Partitioning::Modulo) return total_;
-  return shardsSnapshot()->size();
-}
+std::size_t ClusterLocationService::shardCount() const { return topology()->shards.size(); }
 
 std::size_t ClusterLocationService::shardFor(const util::MobileObjectId& object) const {
-  if (options_.partitioning == Partitioning::Modulo) return shardForObject(object, total_);
+  auto topo = topology();
   if (options_.partitioning == Partitioning::Spatial) {
     std::lock_guard lock(spatialMutex_);
     auto home = homeOf_.find(object);
     const std::string& owner = home != homeOf_.end()
                                    ? home->second
                                    : territory_.ownerForPoint(territory_.universe().center());
-    return spaceSlotOf_.at(owner);
+    return topo->slotOf.at(owner);
   }
-  auto state = ringSnapshot();
-  return state->slotOf.at(state->ring.ownerForObject(object));
+  return topo->slotOf.at(topo->ring.ownerForObject(object));
 }
 
-bool ClusterLocationService::dualReadWindowOpen() const {
-  auto state = ringSnapshot();
-  return state && state->window;
-}
+bool ClusterLocationService::dualReadWindowOpen() const { return topology()->window; }
 
-void ClusterLocationService::applyRingMembers(const RingMemberMap& members) {
-  auto old = shardsSnapshot();
-  auto oldState = ringSnapshot();
-  auto shards = std::make_shared<std::vector<std::shared_ptr<Shard>>>();
-  auto state = std::make_shared<RingState>();
-  if (old) {
-    *shards = *old;
-    state->slotOf = oldState->slotOf;
+void ClusterLocationService::applyMembers(const MemberMap& members) {
+  const bool ring = options_.partitioning == Partitioning::Ring;
+  auto old = topology();
+  auto next = std::make_shared<Topology>();
+  if (old) *next = *old;
+  if (ring) {
+    HashRing fresh(members.tokens);
+    if (!old || (!fresh.empty() && old->ring.members() == fresh.members())) {
+      // First resolve, or unchanged membership: any straddled change is
+      // settled; close the dual-read window.
+      next->prev = fresh;
+      next->ring = std::move(fresh);
+      next->window = false;
+    } else if (!fresh.empty()) {
+      next->prev = old->ring;
+      next->ring = std::move(fresh);
+      next->window = true;
+    }
+    // else: registry momentarily empty (every member between heartbeats) —
+    // keep routing by the last known ring rather than failing every call.
   }
+  // A lapsed member (unlisted, or listed but unresolvable) keeps its slot
+  // AND its endpoint: a lapsed heartbeat is not a reassignment (failover is
+  // replication's job — a promoted backup reappears under the SAME name),
+  // and a planned ring leaver keeps serving stragglers that a router routed
+  // on the topology before this one. Whether it is still queried is
+  // `members` below.
   std::vector<std::shared_ptr<Shard>> lostConnection;
   for (std::size_t i = 0; i < members.tokens.size(); ++i) {
     const std::string& token = members.tokens[i];
     const std::optional<core::Endpoint>& fresh = members.endpoints[i];
-    auto slot = state->slotOf.find(token);
-    if (slot == state->slotOf.end()) {
+    auto slot = next->slotOf.find(token);
+    if (slot == next->slotOf.end()) {
       auto shard = std::make_shared<Shard>(options_.retry);
-      shard->index = shards->size();
+      shard->index = next->shards.size();
       shard->token = token;
       shard->endpoint = fresh;
-      state->slotOf.emplace(token, shard->index);
-      shards->push_back(std::move(shard));
+      next->slotOf.emplace(token, shard->index);
+      next->shards.push_back(std::move(shard));
       continue;
     }
-    Shard& shard = *(*shards)[slot->second];
+    Shard& shard = *next->shards[slot->second];
     std::unique_lock lock(shard.connectMutex);
-    if (shard.endpoint == fresh) continue;
-    // A changed endpoint is a promotion (same name, the backup's address):
-    // drop the dead primary's connection and carry on — no window needed,
-    // the backup holds every acked reading.
+    if (!fresh || shard.endpoint == fresh) continue;
+    // A changed endpoint is a promotion (same name, the backup's address) or
+    // a restart: drop the stale connection and carry on — no window needed,
+    // a promoted backup holds every acked reading.
     shard.endpoint = fresh;
-    if (shard.client) {
-      shard.client.reset();
-      lock.unlock();
-      lostConnection.push_back((*shards)[slot->second]);
-    }
+    if (!shard.client) continue;
+    shard.client.reset();
+    lock.unlock();
+    lostConnection.push_back(next->shards[slot->second]);
   }
-  HashRing fresh(members.tokens);
-  if (!oldState) {
-    state->ring = fresh;
-    state->prev = fresh;
-  } else if (fresh.empty()) {
-    // Registry momentarily empty (every member between heartbeats): keep
-    // routing by the last known ring rather than failing every call.
-    state->ring = oldState->ring;
-    state->prev = oldState->prev;
-    state->window = oldState->window;
-  } else if (oldState->ring.members() == fresh.members()) {
-    // Unchanged membership: any straddled change is settled; close the
-    // dual-read window.
-    state->ring = std::move(fresh);
-    state->prev = state->ring;
-    state->window = false;
-  } else {
-    state->prev = oldState->ring;
-    state->ring = std::move(fresh);
-    state->window = true;
-  }
-  // Members that left the listing keep their slot (stable indices) but stop
-  // being routable until they announce again — EXCEPT while the dual-read
-  // window straddles their departure: a planned leaver (ShardHost::
-  // leaveRing) has withdrawn but keeps serving, and mid-window ingest for
-  // its old arcs still routes to it (the previous owner), so its endpoint
-  // must survive until the window closes.
-  for (const auto& [token, slot] : state->slotOf) {
-    if (std::binary_search(members.tokens.begin(), members.tokens.end(), token)) continue;
-    if (state->window && state->prev.hasMember(token)) continue;
-    Shard& shard = *(*shards)[slot];
-    std::unique_lock lock(shard.connectMutex);
-    if (!shard.endpoint) continue;
-    shard.endpoint = std::nullopt;
-    if (shard.client) {
-      shard.client.reset();
-      lock.unlock();
-      lostConnection.push_back((*shards)[slot]);
+  next->members.clear();
+  // A member back in the scatter set (a lapsed heartbeat renewed) may hold a
+  // connection that outlived its absence, and so missed the subscriptions
+  // made meanwhile (fanOut reaches members only): replay onto it below.
+  std::vector<std::pair<std::shared_ptr<Shard>, std::shared_ptr<core::RemoteLocationClient>>>
+      returned;
+  for (const auto& shard : next->shards) {
+    if (ring && !next->ring.hasMember(shard->token) &&
+        !(next->window && next->prev.hasMember(shard->token))) {
+      continue;
     }
+    next->members.push_back(shard);
+    if (!old || std::find(old->members.begin(), old->members.end(), shard) != old->members.end()) {
+      continue;
+    }
+    std::lock_guard lock(shard->connectMutex);
+    if (shard->client) returned.emplace_back(shard, shard->client);
   }
   {
     // Grow every subscription's per-shard id vector BEFORE the wider shard
@@ -212,79 +146,23 @@ void ClusterLocationService::applyRingMembers(const RingMemberMap& members) {
     // end.
     std::lock_guard lock(subsMutex_);
     for (auto& [id, sub] : subs_) {
-      if (sub->shardSubIds.size() < shards->size()) sub->shardSubIds.resize(shards->size(), 0);
+      if (sub->shardSubIds.size() < next->shards.size()) {
+        sub->shardSubIds.resize(next->shards.size(), 0);
+      }
     }
   }
   {
-    std::lock_guard lock(shardsMutex_);
-    shards_ = std::move(shards);
-    ringState_ = std::move(state);
+    std::lock_guard lock(topologyMutex_);
+    topology_ = std::move(next);
   }
   for (const auto& shard : lostConnection) clearShardSubscriptions(*shard);
+  for (const auto& [shard, client] : returned) replaySubscriptions(*shard, *client);
+  if (!ring) adoptTerritory(members.tokens);
 }
 
-void ClusterLocationService::applySpaceMembers(const RingMemberMap& members) {
-  auto old = shardsSnapshot();
-  auto shards = std::make_shared<std::vector<std::shared_ptr<Shard>>>();
-  std::unordered_map<std::string, std::size_t> slotOf;
-  {
-    std::lock_guard lock(spatialMutex_);
-    slotOf = spaceSlotOf_;
-  }
-  if (old) *shards = *old;
-  std::vector<std::shared_ptr<Shard>> lostConnection;
-  for (std::size_t i = 0; i < members.tokens.size(); ++i) {
-    const std::string& token = members.tokens[i];
-    const std::optional<core::Endpoint>& fresh = members.endpoints[i];
-    auto slot = slotOf.find(token);
-    if (slot == slotOf.end()) {
-      auto shard = std::make_shared<Shard>(options_.retry);
-      shard->index = shards->size();
-      shard->token = token;
-      shard->endpoint = fresh;
-      slotOf.emplace(token, shard->index);
-      shards->push_back(std::move(shard));
-      continue;
-    }
-    if (!fresh) {
-      // A lapsed heartbeat is not a territory reassignment: the member's
-      // rectangles still belong to it (failover is replication's job —
-      // a promoted backup reappears under the SAME name), so keep the
-      // endpoint rather than blackholing a whole territory.
-      continue;
-    }
-    Shard& shard = *(*shards)[slot->second];
-    std::unique_lock lock(shard.connectMutex);
-    if (shard.endpoint == fresh) continue;
-    shard.endpoint = fresh;
-    if (shard.client) {
-      shard.client.reset();
-      lock.unlock();
-      lostConnection.push_back((*shards)[slot->second]);
-    }
-  }
-  {
-    // Grow every subscription's per-shard id vector BEFORE the wider shard
-    // list is visible (same invariant as ring mode).
-    std::lock_guard lock(subsMutex_);
-    for (auto& [id, sub] : subs_) {
-      if (sub->shardSubIds.size() < shards->size()) sub->shardSubIds.resize(shards->size(), 0);
-    }
-  }
-  {
-    std::lock_guard lock(shardsMutex_);
-    shards_ = std::move(shards);
-  }
-  {
-    std::lock_guard lock(spatialMutex_);
-    spaceSlotOf_ = std::move(slotOf);
-  }
-  for (const auto& shard : lostConnection) clearShardSubscriptions(*shard);
-
-  // Territory: adopt the registry's published map when it is newer than
-  // ours; bootstrap (and publish) the uniform split when nobody has
-  // published one yet. uniform() is a pure function of the member set, so
-  // racing routers compute identical maps and the version fence picks one.
+void ClusterLocationService::adoptTerritory(const std::vector<std::string>& tokens) {
+  // uniform() is a pure function of the member set, so racing routers
+  // compute identical maps and the version fence picks one.
   std::optional<core::RegistryClient::Meta> meta;
   try {
     meta = registry_.getMeta(kTerritoryMetaName);
@@ -306,7 +184,7 @@ void ClusterLocationService::applySpaceMembers(const RingMemberMap& members) {
     needBootstrap = territory_.empty();
   }
   if (needBootstrap) {
-    TerritoryMap uniform = TerritoryMap::uniform(options_.universe, members.tokens);
+    TerritoryMap uniform = TerritoryMap::uniform(options_.universe, tokens);
     try {
       registry_.putMeta(kTerritoryMetaName, uniform.encode(), uniform.version());
     } catch (const util::TransportError&) {
@@ -317,57 +195,29 @@ void ClusterLocationService::applySpaceMembers(const RingMemberMap& members) {
   }
 }
 
-void ClusterLocationService::refreshShardMap() {
-  if (options_.partitioning == Partitioning::Spatial) {
-    applySpaceMembers(resolveSpaceMembers(registry_));
-    return;
-  }
-  if (options_.partitioning == Partitioning::Ring) {
-    applyRingMembers(resolveRingMembers(registry_));
-    return;
-  }
-  ShardMap map = resolveShardMap(registry_);
-  if (map.total != 0 && map.total != total_) {
-    throw mw::util::ContractError(
-        "ClusterLocationService::refreshShardMap: cluster width changed (" +
-        std::to_string(total_) + " -> " + std::to_string(map.total) +
-        "); repartitioning needs a new router");
-  }
-  auto shards = shardsSnapshot();
-  for (std::size_t i = 0; i < total_; ++i) {
-    Shard& shard = *(*shards)[i];
-    const std::optional<core::Endpoint> fresh = map.total == 0 ? std::nullopt : map.endpoints[i];
-    std::unique_lock lock(shard.connectMutex);
-    if (shard.endpoint == fresh) continue;
-    shard.endpoint = fresh;
-    if (shard.client) {
-      shard.client.reset();
-      lock.unlock();
-      clearShardSubscriptions(shard);
-    }
-  }
+void ClusterLocationService::refreshMembers() {
+  applyMembers(resolveMembers(registry_, options_.partitioning));
 }
 
-ClusterLocationService::Route ClusterLocationService::routeFor(
-    const std::vector<std::shared_ptr<Shard>>& shards, const RingState* state,
-    const util::MobileObjectId& object, bool ingestPath) const {
-  Route route;
-  if (!state) {
-    route.target = shards[shardForObject(object, total_)];
-    return route;
+ClusterLocationService::Route ClusterLocationService::routeFor(const Topology& topo,
+                                                               const util::MobileObjectId& object,
+                                                               const geo::Point2* ingestPoint,
+                                                               bool ingestPath) {
+  if (options_.partitioning == Partitioning::Spatial) {
+    return spatialRouteFor(topo, object, ingestPoint, ingestPath);
   }
-  const std::string& owner = state->ring.ownerForObject(object);
-  route.target = shards[state->slotOf.at(owner)];
-  if (!state->window) return route;
-  const std::string& prevOwner = state->prev.ownerForObject(object);
+  Route route;
+  const std::string& owner = topo.ring.ownerForObject(object);
+  route.target = topo.shards[topo.slotOf.at(owner)];
+  if (!topo.window) return route;
+  const std::string& prevOwner = topo.prev.ownerForObject(object);
   if (prevOwner == owner) return route;
-  const std::shared_ptr<Shard>& prev = shards[state->slotOf.at(prevOwner)];
+  const std::shared_ptr<Shard>& prev = topo.shards[topo.slotOf.at(prevOwner)];
   if (ingestPath) {
-    // Mid-window writes go to the PREVIOUS owner: its handoff session
+    // Mid-window writes go to the PREVIOUS owner: its migration session
     // buffers or forwards them to the joiner in per-object order, which a
     // direct write to the joiner (racing the log replay) would break.
     route.target = prev;
-    route.fallback = nullptr;
   } else {
     // Reads try the new owner, but until the logs have moved it may not
     // know the object — the previous owner still does.
@@ -377,8 +227,8 @@ ClusterLocationService::Route ClusterLocationService::routeFor(
 }
 
 ClusterLocationService::Route ClusterLocationService::spatialRouteFor(
-    const std::vector<std::shared_ptr<Shard>>& shards, const util::MobileObjectId& object,
-    const geo::Point2* ingestPoint, bool ingestPath) {
+    const Topology& topo, const util::MobileObjectId& object, const geo::Point2* ingestPoint,
+    bool ingestPath) {
   Route route;
   std::lock_guard lock(spatialMutex_);
   std::size_t targetSlot = 0;
@@ -386,32 +236,32 @@ ClusterLocationService::Route ClusterLocationService::spatialRouteFor(
   bool hasFallback = false;
   if (auto move = moving_.find(object); move != moving_.end()) {
     if (ingestPath) {
-      // Mid-migration writes keep going to the OLD home: its handoff
+      // Mid-migration writes keep going to the OLD home: its migration
       // session buffers or forwards them in per-object order, which a
       // direct write to the gainer (racing the log replay) would break.
-      targetSlot = spaceSlotOf_.at(move->second.from);
+      targetSlot = topo.slotOf.at(move->second.from);
     } else {
-      targetSlot = spaceSlotOf_.at(move->second.to);
-      fallbackSlot = spaceSlotOf_.at(move->second.from);
+      targetSlot = topo.slotOf.at(move->second.to);
+      fallbackSlot = topo.slotOf.at(move->second.from);
       hasFallback = true;
     }
   } else if (auto home = homeOf_.find(object); home != homeOf_.end()) {
-    targetSlot = spaceSlotOf_.at(home->second);
+    targetSlot = topo.slotOf.at(home->second);
   } else if (ingestPoint != nullptr) {
     // First sighting: home the object where its evidence box centers.
     const std::string& owner = territory_.ownerForPoint(*ingestPoint);
     if (ingestPath) homeOf_.emplace(object, owner);
-    targetSlot = spaceSlotOf_.at(owner);
+    targetSlot = topo.slotOf.at(owner);
   } else {
     // Unknown object and no evidence anywhere: every shard answers the
     // same ("unknown" / the bare prior), so probe one deterministically.
-    targetSlot = spaceSlotOf_.at(territory_.ownerForPoint(territory_.universe().center()));
+    targetSlot = topo.slotOf.at(territory_.ownerForPoint(territory_.universe().center()));
   }
   if (ingestPath && ingestPoint != nullptr) {
     ++leafReadings_[territory_.leafForPoint(*ingestPoint).id];
   }
-  route.target = shards[targetSlot];
-  if (hasFallback && fallbackSlot != targetSlot) route.fallback = shards[fallbackSlot];
+  route.target = topo.shards[targetSlot];
+  if (hasFallback && fallbackSlot != targetSlot) route.fallback = topo.shards[fallbackSlot];
   return route;
 }
 
@@ -438,21 +288,16 @@ bool ClusterLocationService::migrateObjects(const std::string& from, const std::
                                             const std::vector<geo::Rect>& rects,
                                             const std::optional<TerritoryMap>& newMap) {
   std::lock_guard migration(migrationMutex_);
-  auto shards = shardsSnapshot();
-  std::shared_ptr<Shard> loser;
-  std::shared_ptr<Shard> gainer;
+  auto topo = topology();
+  auto fromSlot = topo->slotOf.find(from);
+  auto toSlot = topo->slotOf.find(to);
+  if (fromSlot == topo->slotOf.end() || toSlot == topo->slotOf.end()) return false;
+  const std::shared_ptr<Shard>& loser = topo->shards[fromSlot->second];
+  const std::shared_ptr<Shard>& gainer = topo->shards[toSlot->second];
   {
-    std::lock_guard lock(spatialMutex_);
-    auto fromSlot = spaceSlotOf_.find(from);
-    auto toSlot = spaceSlotOf_.find(to);
-    if (fromSlot == spaceSlotOf_.end() || toSlot == spaceSlotOf_.end() ||
-        fromSlot->second >= shards->size() || toSlot->second >= shards->size()) {
-      return false;
-    }
-    loser = (*shards)[fromSlot->second];
-    gainer = (*shards)[toSlot->second];
     // Re-check under the migration serializer: a migration this call queued
     // behind may already have moved (or be moving) some of these.
+    std::lock_guard lock(spatialMutex_);
     std::erase_if(explicitObjects, [&](const util::MobileObjectId& object) {
       auto home = homeOf_.find(object);
       return home == homeOf_.end() || home->second != from || moving_.contains(object);
@@ -461,53 +306,29 @@ bool ClusterLocationService::migrateObjects(const std::string& from, const std::
   }
   auto loserClient = clientFor(*loser);
   auto gainerClient = clientFor(*gainer);
-  std::optional<core::Endpoint> gainerEndpoint;
+  MigrateRequest request;
   {
     std::lock_guard lock(gainer->connectMutex);
-    gainerEndpoint = gainer->endpoint;
+    if (!gainer->endpoint) return false;
+    request.gainer = *gainer->endpoint;
   }
-  if (!loserClient || !gainerClient || !gainerEndpoint) return false;
+  if (!loserClient || !gainerClient) return false;
+  request.gainerToken = to;
+  request.objects = std::move(explicitObjects);
+  request.rects = rects;
 
-  std::uint64_t sessionId = 0;
-  std::vector<util::MobileObjectId> affected;
+  MigrateBegun begun;
+  const std::vector<util::MobileObjectId>& affected = begun.affected;
   const char* step = "begin";
   try {
-    // 1. Loser installs the handoff session (its tap starts consuming the
+    // 1. Loser installs the migration session (its tap starts consuming the
     //    moving objects' readings) and reports the full affected set —
     //    explicit objects plus residents of the migrated rects.
-    {
-      util::ByteWriter w;
-      w.str(to);
-      w.str(gainerEndpoint->host);
-      w.u16(gainerEndpoint->port);
-      w.str(gainerEndpoint->shmName);
-      w.u32(static_cast<std::uint32_t>(explicitObjects.size()));
-      for (const auto& object : explicitObjects) w.str(object.str());
-      w.u32(static_cast<std::uint32_t>(rects.size()));
-      for (const auto& rect : rects) {
-        w.f64(rect.lo().x);
-        w.f64(rect.lo().y);
-        w.f64(rect.hi().x);
-        w.f64(rect.hi().y);
-      }
-      const util::Bytes reply = loserClient->rpc()->call("territory.migrateBegin", w.take());
-      util::ByteReader r(reply);
-      sessionId = r.u64();
-      const std::uint32_t count = r.u32();
-      affected.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        affected.emplace_back(util::MobileObjectId{r.str()});
-      }
-    }
+    begun = callMigrateBegin(*loserClient->rpc(), request);
     // 2. Gainer prunes its own stale forwarding sessions BEFORE any forward
     //    can arrive — an object migrating back must not chase its own tail.
     step = "adopt";
-    {
-      util::ByteWriter w;
-      w.u32(static_cast<std::uint32_t>(affected.size()));
-      for (const auto& object : affected) w.str(object.str());
-      gainerClient->rpc()->call("territory.adopt", w.take());
-    }
+    callMigrateAdopt(*gainerClient->rpc(), affected);
     // 3. Mark moving: ingest keeps targeting the loser (whose session now
     //    buffers these objects' readings), reads double-route new-then-old.
     {
@@ -535,37 +356,24 @@ bool ClusterLocationService::migrateObjects(const std::string& from, const std::
     }
     step = "spill";
     spillSubscriptionsOnto(*gainer, to, coverage);
-    step = "flush";
     // 6. Flush: buffered readings drain into the gainer (export first, then
     //    buffer FIFO — per-object order holds), session switches to live
     //    forwarding.
-    {
-      util::ByteWriter w;
-      w.u64(sessionId);
-      const util::Bytes reply = loserClient->rpc()->call("territory.flush", w.take());
-      util::ByteReader r(reply);
-      if (!r.boolean()) {
-        throw mw::util::TransportError("territory.flush refused (session lost?)");
-      }
+    step = "flush";
+    if (!callMigrateFlush(*loserClient->rpc(), begun.session)) {
+      throw mw::util::TransportError("flush refused (session lost?)");
     }
     // 7. End: the loser drops the moved objects' local state; the session
     //    keeps forwarding stragglers that raced the home flip.
     step = "end";
-    {
-      util::ByteWriter w;
-      w.u64(sessionId);
-      const util::Bytes reply = loserClient->rpc()->call("territory.end", w.take());
-      util::ByteReader r(reply);
-      if (!r.boolean()) {
-        util::logWarn("ClusterLocationService", "territory.end refused by ", from,
-                      "; moved objects linger there until the next migration");
-      }
+    if (!callMigrateEnd(*loserClient->rpc(), begun.session)) {
+      util::logWarn("ClusterLocationService", "end refused by ", from,
+                    "; moved objects linger there until the next migration");
     }
   } catch (const util::MwError& e) {
-    // Homes stay put and ingest keeps flowing to the loser. Nothing is
-    // lost: the loser's session (where installed) keeps consuming the
-    // objects' readings, and the next migration attempt's migrateBegin
-    // prunes it and starts over.
+    // Homes stay put and ingest keeps flowing to the loser. The loser's
+    // session (where installed) keeps consuming the objects' readings, and
+    // the next migration attempt's begin prunes it and starts over.
     {
       std::lock_guard lock(spatialMutex_);
       for (const auto& object : affected) moving_.erase(object);
@@ -773,25 +581,7 @@ std::shared_ptr<core::RemoteLocationClient> ClusterLocationService::clientFor(Sh
     if (shard.client) return shard.client;
     if (!shard.endpoint) return nullptr;
     try {
-      std::shared_ptr<orb::Transport> transport;
-      if (!shard.endpoint->shmName.empty()) {
-        // Colocated lane: the shard announced a shared-memory listener. The
-        // name only resolves on the shard's own host — elsewhere (or when
-        // the region is gone) fall back to TCP.
-        try {
-          transport = orb::shmConnect(shard.endpoint->shmName);
-        } catch (const util::TransportError&) {
-          util::logWarn("ClusterLocationService", "shard ", shard.index,
-                        ": shm lane ", shard.endpoint->shmName,
-                        " unreachable; falling back to tcp");
-        }
-      }
-      if (!transport) {
-        transport = orb::tcpConnect(shard.endpoint->host, shard.endpoint->port);
-      }
-      auto rpc = std::make_shared<orb::RpcClient>(std::move(transport));
-      rpc->setCallTimeout(options_.retry.callDeadline);
-      fresh = std::make_shared<core::RemoteLocationClient>(std::move(rpc));
+      fresh = connectMember(*shard.endpoint, options_.retry.callDeadline);
       shard.client = fresh;
       shard.health.recordReconnect();
     } catch (const util::TransportError&) {
@@ -869,8 +659,8 @@ std::optional<R> ClusterLocationService::callShard(
 }
 
 void ClusterLocationService::probeDownShards() {
-  auto shards = shardsSnapshot();
-  for (const auto& shard : *shards) {
+  auto topo = topology();
+  for (const auto& shard : topo->members) {
     if (!shard->health.down()) continue;
     callShard<bool>(*shard, [](core::RemoteLocationClient& client) {
       client.ping();
@@ -882,16 +672,9 @@ void ClusterLocationService::probeDownShards() {
 // --- object-routed calls ------------------------------------------------------
 
 void ClusterLocationService::ingest(const db::SensorReading& reading) {
-  auto shards = shardsSnapshot();
-  Route route;
-  std::optional<geo::Point2> center;
-  if (options_.partitioning == Partitioning::Spatial) {
-    center = reading.rect().center();
-    route = spatialRouteFor(*shards, reading.mobileObjectId, &*center, /*ingestPath=*/true);
-  } else {
-    auto state = ringSnapshot();
-    route = routeFor(*shards, state.get(), reading.mobileObjectId, /*ingestPath=*/true);
-  }
+  auto topo = topology();
+  const geo::Point2 center = reading.rect().center();
+  Route route = routeFor(*topo, reading.mobileObjectId, &center, /*ingestPath=*/true);
   auto ok = callShard<bool>(*route.target, [&](core::RemoteLocationClient& client) {
     client.ingest(reading);
     return true;
@@ -900,40 +683,38 @@ void ClusterLocationService::ingest(const db::SensorReading& reading) {
     failedRoutedCalls_.fetch_add(1, std::memory_order_relaxed);
     droppedIngestReadings_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (center) maybeMigrateAfterIngest(reading.mobileObjectId, *center);
+  if (options_.partitioning == Partitioning::Spatial) {
+    maybeMigrateAfterIngest(reading.mobileObjectId, center);
+  }
 }
 
 void ClusterLocationService::ingestBatch(std::span<const db::SensorReading> readings) {
   if (readings.empty()) return;
-  auto shards = shardsSnapshot();
-  auto state = ringSnapshot();
+  auto topo = topology();
   const bool spatial = options_.partitioning == Partitioning::Spatial;
   // Partition by target shard; a stable partition keeps each object's
   // readings in their original relative order inside its sub-batch. Spatial
   // mode also tracks each object's LAST evidence center: a batch is applied
   // entirely at the current homes first, then crossings migrate.
-  std::vector<std::vector<db::SensorReading>> parts(shards->size());
+  std::vector<std::vector<db::SensorReading>> parts(topo->shards.size());
   std::vector<std::pair<util::MobileObjectId, geo::Point2>> lastCenter;
   std::unordered_map<util::MobileObjectId, std::size_t> lastCenterIndex;
   for (const auto& reading : readings) {
-    Route route;
+    const geo::Point2 center = reading.rect().center();
+    Route route = routeFor(*topo, reading.mobileObjectId, &center, /*ingestPath=*/true);
     if (spatial) {
-      const geo::Point2 center = reading.rect().center();
-      route = spatialRouteFor(*shards, reading.mobileObjectId, &center, /*ingestPath=*/true);
       auto [it, inserted] = lastCenterIndex.emplace(reading.mobileObjectId, lastCenter.size());
       if (inserted) {
         lastCenter.emplace_back(reading.mobileObjectId, center);
       } else {
         lastCenter[it->second].second = center;
       }
-    } else {
-      route = routeFor(*shards, state.get(), reading.mobileObjectId, /*ingestPath=*/true);
     }
     parts[route.target->index].push_back(reading);
   }
   for (std::size_t i = 0; i < parts.size(); ++i) {
     if (parts[i].empty()) continue;
-    Shard& shard = *(*shards)[i];
+    Shard& shard = *topo->shards[i];
     auto ok = callShard<bool>(shard, [&](core::RemoteLocationClient& client) {
       client.ingestBatch(parts[i]);
       return true;
@@ -946,57 +727,37 @@ void ClusterLocationService::ingestBatch(std::span<const db::SensorReading> read
   for (const auto& [object, center] : lastCenter) maybeMigrateAfterIngest(object, center);
 }
 
+template <typename R>
+R ClusterLocationService::routedRead(const util::MobileObjectId& object,
+                                     const std::function<R(core::RemoteLocationClient&)>& fn,
+                                     bool (*found)(const R&)) {
+  auto topo = topology();
+  Route route = routeFor(*topo, object, nullptr, /*ingestPath=*/false);
+  auto result = callShard<R>(*route.target, fn);
+  if (result && found(*result)) return *result;
+  std::optional<R> fallback;
+  if (route.fallback) {
+    // Mid-move: the new owner has no evidence yet — the previous owner is
+    // still authoritative for this object.
+    fallback = callShard<R>(*route.fallback, fn);
+    if (fallback && found(*fallback)) return *fallback;
+  }
+  if (!result && !fallback) failedRoutedCalls_.fetch_add(1, std::memory_order_relaxed);
+  return R{};
+}
+
 std::optional<fusion::LocationEstimate> ClusterLocationService::locate(
     const util::MobileObjectId& object) {
-  auto shards = shardsSnapshot();
-  Route route;
-  if (options_.partitioning == Partitioning::Spatial) {
-    route = spatialRouteFor(*shards, object, nullptr, /*ingestPath=*/false);
-  } else {
-    auto state = ringSnapshot();
-    route = routeFor(*shards, state.get(), object, /*ingestPath=*/false);
-  }
-  auto result = callShard<std::optional<fusion::LocationEstimate>>(
-      *route.target, [&](core::RemoteLocationClient& client) { return client.locate(object); });
-  if (result && result->has_value()) return *result;
-  if (route.fallback) {
-    // Dual-read window: the new owner has no evidence yet — the previous
-    // owner is still authoritative for this object.
-    auto fallback = callShard<std::optional<fusion::LocationEstimate>>(
-        *route.fallback,
-        [&](core::RemoteLocationClient& client) { return client.locate(object); });
-    if (fallback && fallback->has_value()) return *fallback;
-    if (!result && !fallback) failedRoutedCalls_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
-  if (!result) failedRoutedCalls_.fetch_add(1, std::memory_order_relaxed);
-  return std::nullopt;
+  using Answer = std::optional<fusion::LocationEstimate>;
+  return routedRead<Answer>(
+      object, [&](core::RemoteLocationClient& client) { return client.locate(object); },
+      [](const Answer& answer) { return answer.has_value(); });
 }
 
 std::string ClusterLocationService::locateSymbolic(const util::MobileObjectId& object) {
-  auto shards = shardsSnapshot();
-  Route route;
-  if (options_.partitioning == Partitioning::Spatial) {
-    route = spatialRouteFor(*shards, object, nullptr, /*ingestPath=*/false);
-  } else {
-    auto state = ringSnapshot();
-    route = routeFor(*shards, state.get(), object, /*ingestPath=*/false);
-  }
-  auto result = callShard<std::string>(*route.target, [&](core::RemoteLocationClient& client) {
-    return client.locateSymbolic(object);
-  });
-  if (result && !result->empty()) return *result;
-  if (route.fallback) {
-    auto fallback =
-        callShard<std::string>(*route.fallback, [&](core::RemoteLocationClient& client) {
-          return client.locateSymbolic(object);
-        });
-    if (fallback && !fallback->empty()) return *fallback;
-    if (!result && !fallback) failedRoutedCalls_.fetch_add(1, std::memory_order_relaxed);
-    return "";
-  }
-  if (!result) failedRoutedCalls_.fetch_add(1, std::memory_order_relaxed);
-  return result ? *result : "";
+  return routedRead<std::string>(
+      object, [&](core::RemoteLocationClient& client) { return client.locateSymbolic(object); },
+      [](const std::string& answer) { return !answer.empty(); });
 }
 
 // --- scatter-gather -----------------------------------------------------------
@@ -1028,14 +789,14 @@ std::vector<std::optional<R>> ClusterLocationService::scatter(
 
 double ClusterLocationService::probabilityInRegion(const util::MobileObjectId& object,
                                                    const geo::Rect& region) {
-  auto shards = shardsSnapshot();
+  auto topo = topology();
   if (options_.partitioning == Partitioning::Spatial) {
     // Object-homed, not region-scattered: the home shard holds the object's
     // whole log, so its fused answer IS the oracle's winning (evidence-
     // bearing) answer; no other shard could beat it. Unknown objects get
     // the bare prior, which every shard computes identically.
     targetedRegionQueries_.fetch_add(1, std::memory_order_relaxed);
-    Route route = spatialRouteFor(*shards, object, nullptr, /*ingestPath=*/false);
+    Route route = routeFor(*topo, object, nullptr, /*ingestPath=*/false);
     regionShardsQueried_.fetch_add(route.fallback ? 2 : 1, std::memory_order_relaxed);
     auto reply = callShard<core::RemoteLocationClient::RegionProbability>(
         *route.target, [&](core::RemoteLocationClient& client) {
@@ -1059,7 +820,7 @@ double ClusterLocationService::probabilityInRegion(const util::MobileObjectId& o
   }
   scatterGathers_.fetch_add(1, std::memory_order_relaxed);
   auto replies = scatter<core::RemoteLocationClient::RegionProbability>(
-      *shards, [&](core::RemoteLocationClient& client) {
+      topo->members, [&](core::RemoteLocationClient& client) {
         return client.probabilityInRegionEx(object, region);
       });
 
@@ -1081,7 +842,7 @@ double ClusterLocationService::probabilityInRegion(const util::MobileObjectId& o
     throw mw::util::TransportError(
         "ClusterLocationService::probabilityInRegion: no shard answered");
   }
-  if (answered < shards->size()) degradedQueries_.fetch_add(1, std::memory_order_relaxed);
+  if (answered < topo->members.size()) degradedQueries_.fetch_add(1, std::memory_order_relaxed);
   // The owning shard's fused answer wins; with no evidence anywhere every
   // shard reported the same prior mass, so any of them is THE answer.
   return anyEvidence ? best : bestPrior;
@@ -1089,7 +850,7 @@ double ClusterLocationService::probabilityInRegion(const util::MobileObjectId& o
 
 ClusterLocationService::RegionQueryResult ClusterLocationService::objectsInRegionDetailed(
     const geo::Rect& region, double minProbability) {
-  auto shards = shardsSnapshot();
+  auto topo = topology();
   std::vector<std::shared_ptr<Shard>> targets;
   if (options_.partitioning == Partitioning::Spatial && minProbability > 0) {
     // The payoff query: only the shards whose territory intersects the
@@ -1101,17 +862,15 @@ ClusterLocationService::RegionQueryResult ClusterLocationService::objectsInRegio
     {
       std::lock_guard lock(spatialMutex_);
       for (const std::string& owner : territory_.ownersIntersecting(inflated)) {
-        auto slot = spaceSlotOf_.find(owner);
-        if (slot != spaceSlotOf_.end() && slot->second < shards->size()) {
-          targets.push_back((*shards)[slot->second]);
-        }
+        auto slot = topo->slotOf.find(owner);
+        if (slot != topo->slotOf.end()) targets.push_back(topo->shards[slot->second]);
       }
     }
     targetedRegionQueries_.fetch_add(1, std::memory_order_relaxed);
     regionShardsQueried_.fetch_add(targets.size(), std::memory_order_relaxed);
     if (targets.empty()) return RegionQueryResult{};  // region outside every territory
   } else {
-    targets = *shards;
+    targets = topo->members;
     scatterGathers_.fetch_add(1, std::memory_order_relaxed);
   }
   using Members = std::vector<std::pair<util::MobileObjectId, double>>;
@@ -1121,7 +880,7 @@ ClusterLocationService::RegionQueryResult ClusterLocationService::objectsInRegio
 
   RegionQueryResult result;
   // Objects are disjoint across shards by construction; the map guards the
-  // transient overlap a stale shard map could produce (keep the higher-
+  // transient overlap a stale topology could produce (keep the higher-
   // probability sighting).
   std::unordered_map<std::string, double> merged;
   for (const auto& reply : replies) {
@@ -1161,54 +920,41 @@ std::vector<std::pair<util::MobileObjectId, double>> ClusterLocationService::obj
 util::SubscriptionId ClusterLocationService::subscribe(
     const geo::Rect& region, std::optional<util::MobileObjectId> subject, double threshold,
     std::function<void(const core::Notification&)> callback) {
-  auto shards = shardsSnapshot();
   auto sub = std::make_shared<ClusterSub>();
   sub->region = region;
   sub->subject = std::move(subject);
   sub->threshold = threshold;
   sub->callback = std::move(callback);
-  sub->shardSubIds.assign(shards->size(), 0);
-
-  util::SubscriptionId clusterId;
-  {
-    std::lock_guard lock(subsMutex_);
-    clusterId = subIds_.next();
-    subs_.emplace(clusterId.value(), sub);
-  }
-  for (const auto& shard : *shards) {
-    // Spatial mode: only shards whose territory intersects the region can
-    // home an object triggering it; migration spills the subscription onto
-    // shards that gain intersecting territory later.
-    if (options_.partitioning == Partitioning::Spatial &&
-        !territoryCovers(shard->token, region)) {
-      continue;
-    }
-    subscribeOnShard(*shard, clusterId, sub);
-  }
-  return clusterId;
+  return fanOut(sub);
 }
 
 util::SubscriptionId ClusterLocationService::subscribeDensity(
     const geo::Rect& region, double minProbability, std::size_t limit,
     std::function<void(const core::DensityNotification&)> callback) {
-  auto shards = shardsSnapshot();
   auto sub = std::make_shared<ClusterSub>();
   sub->region = region;
   sub->threshold = minProbability;
   sub->limit = limit;
   sub->densityCallback = std::move(callback);
   sub->agg = std::make_shared<DensityAgg>();
-  sub->shardSubIds.assign(shards->size(), 0);
+  return fanOut(sub);
+}
 
+util::SubscriptionId ClusterLocationService::fanOut(const std::shared_ptr<ClusterSub>& sub) {
+  auto topo = topology();
+  sub->shardSubIds.assign(topo->shards.size(), 0);
   util::SubscriptionId clusterId;
   {
     std::lock_guard lock(subsMutex_);
     clusterId = subIds_.next();
     subs_.emplace(clusterId.value(), sub);
   }
-  for (const auto& shard : *shards) {
+  for (const auto& shard : topo->members) {
+    // Spatial mode: only shards whose territory intersects the region can
+    // home an object triggering it; migration spills the subscription onto
+    // shards that gain intersecting territory later.
     if (options_.partitioning == Partitioning::Spatial &&
-        !territoryCovers(shard->token, region)) {
+        !territoryCovers(shard->token, sub->region)) {
       continue;
     }
     subscribeOnShard(*shard, clusterId, sub);
@@ -1251,6 +997,27 @@ void ClusterLocationService::reportDensityCount(ClusterSub& sub, util::Subscript
   sub.densityCallback(out);
 }
 
+ClusterLocationService::Registration ClusterLocationService::registerOn(
+    core::RemoteLocationClient& client, util::SubscriptionId clusterId,
+    const std::shared_ptr<ClusterSub>& sub, std::size_t shardIndex) {
+  if (sub->agg) {
+    // The emit bridge captures the ClusterSub by shared_ptr: its density
+    // fields (region, limit, callback, agg) are immutable after creation,
+    // and the pin keeps the aggregation state alive past unsubscribe races.
+    auto emit = [sub, clusterId, shardIndex](const core::DensityNotification& n) {
+      reportDensityCount(*sub, clusterId, shardIndex, n.count, /*seed=*/false, n.object, n.when);
+    };
+    auto handle = client.subscribeDensity(sub->region, sub->threshold, sub->limit, emit);
+    return {handle.id.value(), handle.initialCount};
+  }
+  auto emit = [callback = sub->callback, clusterId](const core::Notification& n) {
+    core::Notification out = n;
+    out.id = clusterId;  // one client-facing id, whichever shard matched
+    callback(out);
+  };
+  return {client.subscribe(sub->region, sub->subject, sub->threshold, emit).value(), std::nullopt};
+}
+
 void ClusterLocationService::subscribeOnShard(Shard& shard, util::SubscriptionId clusterId,
                                               const std::shared_ptr<ClusterSub>& sub) {
   {
@@ -1261,42 +1028,22 @@ void ClusterLocationService::subscribeOnShard(Shard& shard, util::SubscriptionId
     if (slot != 0) return;
     slot = kSubPending;
   }
-  std::optional<std::uint64_t> shardSubId;
-  if (sub->agg) {
-    // The emit bridge captures the ClusterSub by shared_ptr: its density
-    // fields (region, limit, callback, agg) are immutable after creation,
-    // and the pin keeps the aggregation state alive past unsubscribe races.
-    auto emit = [sub, clusterId, shardIndex = shard.index](const core::DensityNotification& n) {
-      reportDensityCount(*sub, clusterId, shardIndex, n.count, /*seed=*/false, n.object, n.when);
-    };
-    auto handle = callShard<core::RemoteLocationClient::DensityHandle>(
-        shard, [&](core::RemoteLocationClient& client) {
-          return client.subscribeDensity(sub->region, sub->threshold, sub->limit, emit);
-        });
-    if (handle) {
-      shardSubId = handle->id.value();
-      reportDensityCount(*sub, clusterId, shard.index, handle->initialCount, /*seed=*/true,
-                         util::MobileObjectId{}, util::TimePoint{});
-    }
-  } else {
-    auto emit = [callback = sub->callback, clusterId](const core::Notification& n) {
-      core::Notification out = n;
-      out.id = clusterId;  // one client-facing id, whichever shard matched
-      callback(out);
-    };
-    shardSubId = callShard<std::uint64_t>(shard, [&](core::RemoteLocationClient& client) {
-      return client.subscribe(sub->region, sub->subject, sub->threshold, emit).value();
-    });
+  auto registration = callShard<Registration>(shard, [&](core::RemoteLocationClient& client) {
+    return registerOn(client, clusterId, sub, shard.index);
+  });
+  if (registration && registration->seed) {
+    reportDensityCount(*sub, clusterId, shard.index, *registration->seed, /*seed=*/true,
+                       util::MobileObjectId{}, util::TimePoint{});
   }
   std::unique_lock lock(subsMutex_);
   const bool live = subs_.contains(clusterId.value());
-  subSlot(sub->shardSubIds, shard.index) = (shardSubId && live) ? *shardSubId : 0;
-  if (shardSubId && !live) {
+  subSlot(sub->shardSubIds, shard.index) = (registration && live) ? registration->id : 0;
+  if (registration && !live) {
     // unsubscribe() won the race while registration was in flight; take the
     // orphan back down (best effort).
     lock.unlock();
     callShard<bool>(shard, [&](core::RemoteLocationClient& client) {
-      return client.unsubscribe(util::SubscriptionId{*shardSubId});
+      return client.unsubscribe(util::SubscriptionId{registration->id});
     });
   }
 }
@@ -1326,36 +1073,19 @@ void ClusterLocationService::replaySubscriptions(Shard& shard, core::RemoteLocat
     missing.emplace_back(clusterId, sub);
   }
   for (auto& [clusterId, sub] : missing) {
-    std::uint64_t shardSubId = 0;
-    std::optional<std::size_t> seedCount;
+    Registration registration;
     try {
-      if (sub->agg) {
-        auto emit = [sub = sub, clusterId = clusterId,
-                     shardIndex = shard.index](const core::DensityNotification& n) {
-          reportDensityCount(*sub, clusterId, shardIndex, n.count, /*seed=*/false, n.object,
-                             n.when);
-        };
-        auto handle = client.subscribeDensity(sub->region, sub->threshold, sub->limit, emit);
-        shardSubId = handle.id.value();
-        seedCount = handle.initialCount;
-      } else {
-        auto emit = [callback = sub->callback,
-                     clusterId = clusterId](const core::Notification& n) {
-          core::Notification out = n;
-          out.id = clusterId;
-          callback(out);
-        };
-        shardSubId = client.subscribe(sub->region, sub->subject, sub->threshold, emit).value();
-      }
+      registration = registerOn(client, clusterId, sub, shard.index);
     } catch (const util::TransportError&) {
       // Fresh connection already gone; the next reconnect replays again.
     }
-    if (seedCount) {
-      reportDensityCount(*sub, clusterId, shard.index, *seedCount, /*seed=*/true,
+    if (registration.seed) {
+      reportDensityCount(*sub, clusterId, shard.index, *registration.seed, /*seed=*/true,
                          util::MobileObjectId{}, util::TimePoint{});
     }
     std::lock_guard lock(subsMutex_);
-    subSlot(sub->shardSubIds, shard.index) = subs_.contains(clusterId.value()) ? shardSubId : 0;
+    subSlot(sub->shardSubIds, shard.index) =
+        subs_.contains(clusterId.value()) ? registration.id : 0;
   }
 }
 
@@ -1368,8 +1098,8 @@ bool ClusterLocationService::unsubscribe(util::SubscriptionId id) {
     sub = it->second;
     subs_.erase(it);
   }
-  auto shards = shardsSnapshot();
-  for (const auto& shard : *shards) {
+  auto topo = topology();
+  for (const auto& shard : topo->shards) {
     std::uint64_t shardSubId;
     {
       std::lock_guard lock(subsMutex_);
@@ -1385,9 +1115,9 @@ bool ClusterLocationService::unsubscribe(util::SubscriptionId id) {
 
 ClusterLocationService::Stats ClusterLocationService::stats() const {
   Stats stats;
-  auto shards = shardsSnapshot();
-  stats.shards.reserve(shards->size());
-  for (const auto& shard : *shards) {
+  auto topo = topology();
+  stats.shards.reserve(topo->shards.size());
+  for (const auto& shard : topo->shards) {
     ShardStats s;
     {
       std::lock_guard lock(shard->connectMutex);

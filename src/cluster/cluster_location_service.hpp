@@ -1,16 +1,16 @@
-// The cluster router: presents the LocationService API over N shard
+// The cluster router: presents the LocationService API over the shard
 // processes resolved from the registry, so applications talk to "the
 // location service" without knowing the partition exists.
 //
 // Routing: object-keyed calls (ingest, ingestBatch, locate, locateSymbolic)
-// go to shardForObject(o, N) — one object, one shard, one ordering domain
+// go to the object's owner — one object, one shard, one ordering domain
 // (see shard_map.hpp for the end-to-end ordering argument). Region-keyed
 // calls (probabilityInRegion, objectsInRegion) scatter to every live shard
 // in parallel and merge: populations concatenate (objects are disjoint
 // across shards) and re-sort with the service's own comparator, region
 // probabilities prefer the evidence-bearing answer over the bare priors
 // evidence-free shards report. subscribe() fans the trigger out to every
-// shard and re-emits each shard's notifications through the caller's single
+// member and re-emits each shard's notifications through the caller's single
 // callback under one cluster-wide subscription id.
 //
 // Failure model: every call carries a deadline (util::TimeoutError) and a
@@ -23,22 +23,23 @@
 // and routed calls to a down shard return "unknown" instead of blocking.
 // Per-shard error counters surface in stats().
 //
-// Ring mode (Partitioning::Ring): members are resolved from
-// "location.ring.*" announcements instead of the fixed-width modulo names,
-// and membership may CHANGE between refreshes — that is the point. When a
-// refresh observes a changed member set, the router keeps both rings and
-// opens a dual-read window: ingest for a moved arc still routes to the
-// PREVIOUS owner (whose handoff session buffers or forwards it to the
-// joiner — see replication.hpp), while reads try the new owner first and
-// fall back to the previous one when the new owner doesn't know the object
-// yet. The next refresh that sees the same member set closes the window —
-// by then the operator has run completeJoin(), so the joiner holds every
-// moved object's full log and answers are exact throughout. Promotion of a
-// backup does not change membership (same name, new endpoint), so failover
-// needs no window at all. A planned departure (ShardHost::leaveRing) is the
-// same window in reverse: the leaver withdraws but keeps serving, so while
-// the window is open the router keeps routing moved-arc ingest to it even
-// though it no longer appears in the registry.
+// Ring mode (Partitioning::Ring, the default): members are resolved from
+// "location.ring.*" announcements and objects are owned by a consistent-hash
+// ring. Membership may CHANGE between refreshes. When a refresh observes a
+// changed member set, the router keeps both rings and opens a dual-read
+// window: ingest for a moved arc still routes to the PREVIOUS owner (whose
+// migration session buffers or forwards it to the joiner — see
+// replication.hpp), while reads try the new owner first and fall back to the
+// previous one when the new owner doesn't know the object yet. The next
+// refresh that sees the same member set closes the window — by then the
+// operator has run completeJoin(), so the joiner holds every moved object's
+// full log and answers are exact throughout. Promotion of a backup does not
+// change membership (same name, new endpoint), so failover needs no window
+// at all. A planned departure (ShardHost::leaveRing) is the same window in
+// reverse: the leaver withdraws but keeps serving, so while the window is
+// open the router keeps routing moved-arc ingest to it even though it no
+// longer appears in the registry. A ring that never changes is the
+// fixed-width partition.
 //
 // Spatial mode (Partitioning::Spatial): members are "location.space.*"
 // announcements and the partition key is WHERE, not WHO — a kd-split
@@ -51,14 +52,13 @@
 // A reading whose evidence box centers outside its object's home territory
 // is a boundary crossing: it is applied at the OLD home first (order), then
 // the router migrates the object's whole log to the new owner over the same
-// buffer-then-forward handoff sessions as a ring join (territory.* methods
-// on ShardHost), reads double-routing new-then-old until the flip.
-// rebalanceOnce() is the load balancer: it splits the hottest leaf and
-// migrates the new half to the coldest shard under live traffic, keeping
-// every answer byte-identical to the object-hash oracle for quiescent
-// objects throughout. One router drives migrations and the balancer at a
-// time — concurrent routers may route (the map is shared via the registry)
-// but must not both migrate.
+// migrate.* protocol as a ring join (replication.hpp), reads double-routing
+// new-then-old until the flip. rebalanceOnce() is the load balancer: it
+// splits the hottest leaf and migrates the new half to the coldest shard
+// under live traffic, keeping every answer byte-identical to the
+// single-process oracle for quiescent objects throughout. One router drives
+// migrations and the balancer at a time — concurrent routers may route (the
+// map is shared via the registry) but must not both migrate.
 #pragma once
 
 #include <atomic>
@@ -86,15 +86,11 @@ namespace mw::cluster {
 
 class ClusterLocationService {
  public:
-  enum class Partitioning {
-    Modulo,   ///< fixed width N from "location.shard.<i>/<N>" names
-    Ring,     ///< consistent-hash ring over "location.ring.<token>" members
-    Spatial,  ///< kd-split territory map over "location.space.<token>" members
-  };
+  using Partitioning = ::mw::cluster::Partitioning;
 
   struct Options {
     RetryPolicy retry;
-    Partitioning partitioning = Partitioning::Modulo;
+    Partitioning partitioning = Partitioning::Ring;
     /// Spatial mode: the world rectangle the territory map tiles. Required
     /// (non-empty) for Partitioning::Spatial; used to bootstrap the uniform
     /// map when the registry holds none yet.
@@ -139,7 +135,7 @@ class ClusterLocationService {
     std::uint64_t territorySplits = 0;
   };
 
-  /// Resolves the shard map from the registry. Throws util::TransportError
+  /// Resolves the members from the registry. Throws util::TransportError
   /// when the registry is unreachable and util::NotFoundError when no shard
   /// is announced.
   ClusterLocationService(const std::string& registryHost, std::uint16_t registryPort,
@@ -154,20 +150,19 @@ class ClusterLocationService {
   [[nodiscard]] std::size_t shardCount() const;
   [[nodiscard]] std::size_t shardFor(const util::MobileObjectId& object) const;
 
-  /// Re-resolves the shard map from the registry: newly announced shards
+  /// Re-resolves the members from the registry: newly announced shards
   /// become routable, changed endpoints drop their stale connections. In
-  /// modulo mode the cluster width N must not change (that is a
-  /// repartition, not a refresh; util::ContractError otherwise). In ring
-  /// mode a membership change opens the dual-read window (see the file
-  /// header) and an unchanged refresh closes it.
-  void refreshShardMap();
+  /// ring mode a membership change opens the dual-read window (see the file
+  /// header) and an unchanged refresh closes it; in spatial mode the
+  /// territory map is re-read from the registry.
+  void refreshMembers();
 
   /// Ring mode: a membership change is being straddled — moved arcs are
   /// double-routed until the next unchanged refresh. Always false in
-  /// modulo mode.
+  /// spatial mode.
   [[nodiscard]] bool dualReadWindowOpen() const;
 
-  /// Attempts one probe on every down shard whose probe timer has lapsed
+  /// Attempts one probe on every down member whose probe timer has lapsed
   /// (routed calls also probe lazily; this is for impatient callers).
   void probeDownShards();
 
@@ -192,8 +187,9 @@ class ClusterLocationService {
 
   // --- scatter-gather calls ----------------------------------------------------
 
-  /// Scatter to all shards; the owning shard's evidence-bearing answer wins
-  /// over the bare priors the others report. Throws util::TransportError
+  /// Ring mode scatters to all shards; the owning shard's evidence-bearing
+  /// answer wins over the bare priors the others report. Spatial mode asks
+  /// the object's home. Throws util::TransportError
   /// when NO shard answered.
   [[nodiscard]] double probabilityInRegion(const util::MobileObjectId& object,
                                            const geo::Rect& region);
@@ -219,11 +215,11 @@ class ClusterLocationService {
 
   // --- push: cluster-wide subscriptions ---------------------------------------
 
-  /// Fans the subscription out to every shard; matching notifications from
+  /// Fans the subscription out to every member; matching notifications from
   /// any shard arrive on `callback` carrying the single cluster-wide id
   /// this returns. Shards that are down at subscribe time (or that drop
   /// their connection later) get the subscription replayed when they
-  /// reconnect.
+  /// reconnect; so does a member that rejoins the ring.
   util::SubscriptionId subscribe(const geo::Rect& region,
                                  std::optional<util::MobileObjectId> subject, double threshold,
                                  std::function<void(const core::Notification&)> callback);
@@ -284,7 +280,7 @@ class ClusterLocationService {
     explicit Shard(const RetryPolicy& policy) : health(policy) {}
 
     std::size_t index = 0;
-    std::string token;  ///< ring member token; empty in modulo mode
+    std::string token;  ///< member token
     ShardHealth health;
     /// Guards endpoint + client (re)creation; never held across an RPC.
     std::mutex connectMutex;
@@ -319,45 +315,47 @@ class ClusterLocationService {
     std::shared_ptr<DensityAgg> agg;
   };
 
-  /// Ring-mode topology snapshot, published together with shards_ (null in
-  /// modulo mode). Shard slots are stable across refreshes — a new member
-  /// appends, a lapsed one keeps its slot with endpoint reset — so
-  /// subscription id vectors only ever grow.
-  struct RingState {
-    HashRing ring;  ///< current membership
-    HashRing prev;  ///< membership before the last change
-    bool window = false;  ///< dual-read window open (ring != prev semantics)
+  /// One published view of the membership: the shard list and its token
+  /// index, plus (ring mode) the ring and the one before the last change.
+  /// Shard slots are stable across refreshes — a new member appends, a
+  /// lapsed one keeps its slot — so subscription id vectors only ever grow.
+  struct Topology {
+    std::vector<std::shared_ptr<Shard>> shards;
     std::unordered_map<std::string, std::size_t> slotOf;  ///< token -> shard index
+    /// The shards a scatter, a new subscription or a probe reaches: every
+    /// slot in spatial mode; in ring mode the ring's members plus, while the
+    /// window is open, the previous ring's.
+    std::vector<std::shared_ptr<Shard>> members;
+    HashRing ring;        ///< current membership (ring mode)
+    HashRing prev;        ///< membership before the last change (ring mode)
+    bool window = false;  ///< dual-read window open (ring mode)
   };
 
   /// Where an object's traffic goes this instant: `target` for the call,
-  /// `fallback` (reads only, during the dual-read window) when the target
-  /// doesn't know the object yet.
+  /// `fallback` (reads only, mid-move) when the target doesn't know the
+  /// object yet.
   struct Route {
     std::shared_ptr<Shard> target;
     std::shared_ptr<Shard> fallback;
   };
-  [[nodiscard]] Route routeFor(const std::vector<std::shared_ptr<Shard>>& shards,
-                               const RingState* state, const util::MobileObjectId& object,
-                               bool ingestPath) const;
-
-  /// Merges freshly resolved ring members into the shard list + ring state
-  /// (constructor and every ring-mode refresh).
-  void applyRingMembers(const RingMemberMap& members);
-
-  /// Spatial mode: merges freshly resolved space members into the shard
-  /// list and adopts (or bootstraps and publishes) the territory map from
-  /// the registry's versioned metadata.
-  void applySpaceMembers(const RingMemberMap& members);
-
-  /// Spatial route for one object. `ingestPoint` (ingest path only) homes a
-  /// first-seen object at its evidence-box center's territory owner and
-  /// bumps that leaf's load counter. Mid-migration reads get target=new
-  /// home, fallback=old (the old home still serves until the flip); ingest
-  /// keeps targeting the OLD home, whose handoff session buffers/forwards.
-  [[nodiscard]] Route spatialRouteFor(const std::vector<std::shared_ptr<Shard>>& shards,
-                                      const util::MobileObjectId& object,
+  /// The route for one object. `ingestPoint` (the reading's evidence-box
+  /// center, ingest path only) homes a first-seen object at that point's
+  /// territory owner in spatial mode and bumps the leaf's load counter. Mid-
+  /// move (ring window or spatial migration) reads get target = new owner,
+  /// fallback = old; ingest keeps targeting the OLD owner, whose migration
+  /// session buffers or forwards in per-object order.
+  [[nodiscard]] Route routeFor(const Topology& topo, const util::MobileObjectId& object,
+                               const geo::Point2* ingestPoint, bool ingestPath);
+  [[nodiscard]] Route spatialRouteFor(const Topology& topo, const util::MobileObjectId& object,
                                       const geo::Point2* ingestPoint, bool ingestPath);
+
+  /// Merges freshly resolved members into a new topology (constructor and
+  /// every refresh): one slot update for both modes, then the ring window
+  /// (ring mode) or the territory map (spatial mode).
+  void applyMembers(const MemberMap& members);
+  /// Spatial mode: adopts the registry's published territory map when it is
+  /// newer than ours, or bootstraps (and publishes) the uniform split.
+  void adoptTerritory(const std::vector<std::string>& tokens);
 
   /// Called after a spatial-mode ingest lands: when the reading's evidence
   /// center fell outside the object's home territory, migrates the object's
@@ -366,8 +364,8 @@ class ClusterLocationService {
   void maybeMigrateAfterIngest(const util::MobileObjectId& object, const geo::Point2& center);
 
   /// Migrates `explicitObjects` plus every resident of `rects` from member
-  /// `from` to member `to` over a territory handoff session (begin → adopt
-  /// → export/import → [newMap adopt + subscription spill] → flush → end →
+  /// `from` to member `to` over one migrate.* session (begin → adopt →
+  /// export/import → [newMap adopt + subscription spill] → flush → end →
   /// home flip). When `newMap` is set it is adopted locally before the
   /// flush and published to the registry after the flip. Returns false when
   /// any step failed (homes stay put; the loser's session keeps the moved
@@ -393,8 +391,7 @@ class ClusterLocationService {
   /// subsMutex_ held — the two must not nest).
   [[nodiscard]] bool territoryCovers(const std::string& token, const geo::Rect& region) const;
 
-  [[nodiscard]] std::shared_ptr<std::vector<std::shared_ptr<Shard>>> shardsSnapshot() const;
-  [[nodiscard]] std::shared_ptr<const RingState> ringSnapshot() const;
+  [[nodiscard]] std::shared_ptr<const Topology> topology() const;
 
   /// Connected client for the shard, creating (and replaying subscriptions
   /// onto) a fresh connection if needed; null when the shard has no
@@ -412,6 +409,13 @@ class ClusterLocationService {
   template <typename R>
   std::optional<R> callShard(Shard& shard, const std::function<R(core::RemoteLocationClient&)>& fn);
 
+  /// Routed read: asks the object's owner, then (mid-move) the previous
+  /// owner when the owner's answer is not `found`. A miss returns R{}; a
+  /// call no shard answered also counts in failedRoutedCalls.
+  template <typename R>
+  R routedRead(const util::MobileObjectId& object,
+               const std::function<R(core::RemoteLocationClient&)>& fn, bool (*found)(const R&));
+
   /// Runs `fn` against every shard concurrently (one thread per shard);
   /// results[i] is nullopt where shard i's budget was exhausted.
   template <typename R>
@@ -419,6 +423,19 @@ class ClusterLocationService {
       const std::vector<std::shared_ptr<Shard>>& shards,
       const std::function<R(core::RemoteLocationClient&)>& fn);
 
+  /// Registers a new cluster subscription and fans it out to every member
+  /// that can home a triggering object.
+  util::SubscriptionId fanOut(const std::shared_ptr<ClusterSub>& sub);
+  /// One shard-side registration of a cluster subscription.
+  struct Registration {
+    std::uint64_t id = 0;
+    std::optional<std::size_t> seed;  ///< density: the shard's count at subscribe time
+  };
+  /// Registers `sub` on one shard connection; its notifications re-emit
+  /// under `clusterId` (density counts fold into the cluster total).
+  static Registration registerOn(core::RemoteLocationClient& client,
+                                 util::SubscriptionId clusterId,
+                                 const std::shared_ptr<ClusterSub>& sub, std::size_t shardIndex);
   /// Registers one cluster subscription on one shard under the claim
   /// protocol (either the initial fan-out or a reconnect replay registers,
   /// never both; failures leave the slot empty for the next replay).
@@ -437,17 +454,11 @@ class ClusterLocationService {
 
   const Options options_;
   core::RegistryClient registry_;
-  /// Modulo mode: the fixed cluster width N. Ring mode: 0 (the snapshot's
-  /// size is the width, and it may change between refreshes).
-  std::size_t total_ = 0;
 
-  /// Snapshot-published shard list (repo idiom: pointer swap under a mutex,
+  /// Snapshot-published topology (repo idiom: pointer swap under a mutex,
   /// readers pin the snapshot and never hold the lock during RPCs).
-  /// ringState_ is published under the same lock so a reader's shard list
-  /// and ring always agree.
-  mutable std::mutex shardsMutex_;
-  std::shared_ptr<std::vector<std::shared_ptr<Shard>>> shards_;
-  std::shared_ptr<const RingState> ringState_;
+  mutable std::mutex topologyMutex_;
+  std::shared_ptr<const Topology> topology_;
 
   std::mutex subsMutex_;
   util::IdSequencer<util::SubscriptionId> subIds_;
@@ -457,7 +468,6 @@ class ClusterLocationService {
   /// map/table access, never across an RPC).
   mutable std::mutex spatialMutex_;
   TerritoryMap territory_;
-  std::unordered_map<std::string, std::size_t> spaceSlotOf_;  ///< token -> shard index
   /// Object -> home member token. Grown at first sighting (evidence-box
   /// center's territory owner), flipped only when a migration completes —
   /// so mid-migration ingest keeps feeding the old home's handoff session.

@@ -1,5 +1,5 @@
-// Shard replication and arc handoff — the two data-movement protocols of
-// the cluster (ROADMAP: "Shard replication and online resharding").
+// Shard replication and migration — the two data-movement protocols of the
+// cluster.
 //
 // ReplicationLink is the primary's handle to its warm-standby backup. The
 // primary's ingest tap calls mirror() BEFORE the local apply, inside the
@@ -10,14 +10,16 @@
 // consistent cut, every earlier reading is in it and every later reading
 // flows through the live mirror — no sequence numbers needed.
 //
-// HandoffSession is the LOSING owner's side of a ring join. Its filter()
-// sits in the same ingest tap and consumes readings whose objects fall in
-// the arcs being handed off: buffered while the joiner replays the exported
-// logs, then (after flush()) forwarded synchronously. Per-object order at
-// the joiner is export, then buffered FIFO, then forwarded FIFO over one
-// connection — exact, because the buffer drain and the mode switch happen
-// under one session lock, and the session is installed under pauseIngest()
-// so no reading is ever half-applied on the losing side.
+// HandoffSession is the LOSING shard's side of one migration, for every
+// partitioning: a ring join or leave (coverage = the moved arcs) and a
+// territory migration (coverage = an explicit object set). Its filter() sits
+// in the same ingest tap and consumes readings of covered objects: buffered
+// while the gainer replays the exported logs, then (after flush())
+// forwarded synchronously. Per-object order at the gainer is export, then
+// buffered FIFO, then forwarded FIFO over one connection — exact, because
+// the buffer drain and the mode switch happen under one session lock, and
+// the session is installed under pauseIngest() so no reading is ever
+// half-applied on the losing side. The migrate.* methods below drive it.
 //
 // Failure policy (both): a dead peer marks the link/session failed, counts
 // and warns, and the local service keeps serving — availability over
@@ -26,6 +28,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -36,6 +39,8 @@
 
 #include "cluster/shard_map.hpp"
 #include "core/remote.hpp"
+#include "geometry/rect.hpp"
+#include "orb/rpc.hpp"
 #include "spatialdb/database.hpp"
 #include "util/bytes.hpp"
 
@@ -90,26 +95,20 @@ class ReplicationLink {
   std::atomic<std::uint64_t> failures_{0};
 };
 
-/// Losing-owner side of one handoff. Coverage comes in two flavors: ring
-/// ARCS (a join's claimed key ranges — any object hashing into them, present
-/// or future) or an explicit OBJECT SET (a territory migration's residents —
-/// exactly the objects whose logs are being exported). Both run the same
-/// buffer-then-forward protocol.
+/// Losing side of one migration. Coverage is an explicit OBJECT SET plus
+/// optional ring ARCS. The set is what a territory migration moves (exactly
+/// the objects whose logs are exported); arcs are what a ring join or leave
+/// moves — any object hashing into them, including one first seen after the
+/// session began, which a set fixed at begin time would strand here.
 class HandoffSession {
  public:
-  /// Arc coverage (ring join). `client` must be connected to the gaining
-  /// shard's service endpoint.
-  HandoffSession(std::string joinerToken, std::vector<RingArc> arcs,
-                 std::shared_ptr<core::RemoteLocationClient> client);
+  /// `client` must be connected to the gaining shard's service endpoint.
+  /// Both coverages may be empty — the session then consumes nothing but
+  /// still anchors the protocol.
+  HandoffSession(std::string gainerToken, std::vector<util::MobileObjectId> objects,
+                 std::vector<RingArc> arcs, std::shared_ptr<core::RemoteLocationClient> client);
 
-  /// Object-set coverage (territory migration). The set may be empty — the
-  /// session then consumes nothing but still anchors the protocol.
-  HandoffSession(std::string joinerToken, std::vector<util::MobileObjectId> objects,
-                 std::shared_ptr<core::RemoteLocationClient> client);
-
-  [[nodiscard]] const std::string& joinerToken() const noexcept { return joinerToken_; }
-  [[nodiscard]] const std::vector<RingArc>& arcs() const noexcept { return arcs_; }
-  /// Does this session cover the object (arc containment or set membership,
+  /// Does this session cover the object (set membership, or arc containment
   /// minus any removed objects)?
   [[nodiscard]] bool covers(const util::MobileObjectId& object) const;
 
@@ -119,14 +118,17 @@ class HandoffSession {
   /// paused (no filter() in flight).
   void removeObjects(std::span<const util::MobileObjectId> objects);
 
+  /// Covers nothing any more (no objects, no arcs): the owner retires it.
+  [[nodiscard]] bool empty() const;
+
   /// Tap fragment: removes and consumes the readings this session covers
   /// (buffered before flush(), forwarded after), returns the rest.
   [[nodiscard]] std::vector<db::SensorReading> filter(std::vector<db::SensorReading> batch);
 
-  /// Drains the buffer to the joiner and switches to live forwarding —
+  /// Drains the buffer to the gainer and switches to live forwarding —
   /// atomically, under the session lock, so no reading can slip between
   /// the drained buffer and the forward stream. Returns false (session
-  /// failed) when the joiner connection died; buffered readings are kept
+  /// failed) when the gainer connection died; buffered readings are kept
   /// for a retry.
   bool flush();
 
@@ -139,7 +141,7 @@ class HandoffSession {
   [[nodiscard]] std::uint64_t forwardedReadings() const noexcept {
     return forwardedReadings_.load(std::memory_order_relaxed);
   }
-  /// Forward attempts that failed; those readings are lost to the joiner
+  /// Forward attempts that failed; those readings are lost to the gainer
   /// (counted, logged — the router's retry against the new owner is the
   /// recovery path).
   [[nodiscard]] std::uint64_t failures() const noexcept {
@@ -147,17 +149,17 @@ class HandoffSession {
   }
 
  private:
-  const std::string joinerToken_;
+  const std::string gainerToken_;
   const std::vector<RingArc> arcs_;
-  /// Object-set coverage (empty in arc mode). Guarded by coverMutex_: reads
-  /// are per-reading on the ingest path (shared), removeObjects is rare and
-  /// runs under an ingest pause (exclusive).
+  /// Guarded by coverMutex_: reads are per-reading on the ingest path
+  /// (shared), removeObjects is rare and runs under an ingest pause
+  /// (exclusive). `removed_` only subtracts from arc coverage.
   mutable std::shared_mutex coverMutex_;
   std::unordered_set<util::MobileObjectId> objects_;
   std::unordered_set<util::MobileObjectId> removed_;
   const std::shared_ptr<core::RemoteLocationClient> client_;
   /// Guards buffer_ + the buffering->forwarding switch, and serializes
-  /// forwards so the joiner sees them in consume order.
+  /// forwards so the gainer sees them in consume order.
   std::mutex mutex_;
   std::vector<db::SensorReading> buffer_;
   std::atomic<bool> forwarding_{false};
@@ -166,9 +168,56 @@ class HandoffSession {
   std::atomic<std::uint64_t> failures_{0};
 };
 
-// --- wire helpers for the handoff.* methods -----------------------------------
+// --- the migrate.* protocol -------------------------------------------------
+//
+// One RPC family moves objects between shards for every partitioning. The
+// losing shard serves all four methods; the caller is the gainer of a ring
+// join, or the router for a territory migration (the gainer also serves
+// adopt):
+//   migrate.begin(request) -> (session id, affected objects)
+//       installs a session under pauseIngest; from here the loser's tap
+//       buffers the covered objects' readings
+//   migrate.adopt(objects) -> ()
+//       gaining side: prunes its own stale sessions of these objects, so an
+//       object migrating back does not bounce to the shard it once left
+//   migrate.flush(id) -> ok     buffer drain + switch to forwarding
+//   migrate.end(id) -> ok       drops the moved objects; false when the
+//                               session is unknown or not yet flushed
+// Sessions are keyed by a fresh id — one shard pair can run many migrations
+// and a peer-token key would alias them.
 
-void encodeArcs(util::ByteWriter& w, std::span<const RingArc> arcs);
-[[nodiscard]] std::vector<RingArc> decodeArcs(util::ByteReader& r);
+/// What migrate.begin moves: the explicit objects, plus every resident whose
+/// evidence box centers in one of `rects`, plus every object (resident now
+/// or first seen later) whose ring key falls in one of `arcs`.
+struct MigrateRequest {
+  std::string gainerToken;
+  core::Endpoint gainer;  ///< where the session forwards
+  std::vector<util::MobileObjectId> objects;
+  std::vector<geo::Rect> rects;
+  std::vector<RingArc> arcs;
+};
+
+struct MigrateBegun {
+  std::uint64_t session = 0;
+  std::vector<util::MobileObjectId> affected;  ///< residents whose logs move
+};
+
+/// The serving side: what a shard does for each method.
+struct MigrateHandlers {
+  std::function<MigrateBegun(const MigrateRequest&)> begin;
+  std::function<void(const std::vector<util::MobileObjectId>&)> adopt;
+  std::function<bool(std::uint64_t)> flush;
+  std::function<bool(std::uint64_t)> end;
+};
+
+/// Registers migrate.begin/adopt/flush/end on `server`.
+void serveMigrate(orb::RpcServer& server, MigrateHandlers handlers);
+
+/// The calling side, one round trip each. Throws util::TransportError or
+/// util::TimeoutError when the peer is gone.
+[[nodiscard]] MigrateBegun callMigrateBegin(orb::RpcClient& rpc, const MigrateRequest& request);
+void callMigrateAdopt(orb::RpcClient& rpc, std::span<const util::MobileObjectId> objects);
+[[nodiscard]] bool callMigrateFlush(orb::RpcClient& rpc, std::uint64_t session);
+[[nodiscard]] bool callMigrateEnd(orb::RpcClient& rpc, std::uint64_t session);
 
 }  // namespace mw::cluster

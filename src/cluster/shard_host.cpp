@@ -9,8 +9,6 @@
 
 #include "cluster/placement.hpp"
 #include "cluster/territory_map.hpp"
-#include "orb/tcp.hpp"
-#include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -18,9 +16,20 @@ namespace mw::cluster {
 
 namespace {
 
-/// Peer-to-peer calls (replication mirror, handoff forward, log export)
+/// Peer-to-peer calls (replication mirror, migration forward, log export)
 /// block an ingest ack; a wedged peer must not wedge the caller forever.
 constexpr auto kPeerCallTimeout = util::sec(5);
+
+/// Does the object's evidence box center in one of `rects`?
+bool centeredIn(const db::SpatialDatabase& database, const util::MobileObjectId& object,
+                std::span<const geo::Rect> rects) {
+  if (rects.empty()) return false;
+  const auto box = database.evidenceBoxOf(object);
+  if (!box) return false;
+  const geo::Point2 center = box->center();
+  return std::any_of(rects.begin(), rects.end(),
+                     [&](const geo::Rect& rect) { return rect.contains(center); });
+}
 
 }  // namespace
 
@@ -30,9 +39,11 @@ ShardHost::ShardHost(const util::Clock& clock, geo::Rect universe, const std::st
     : core_(std::make_unique<core::Middlewhere>(clock, universe, rootFrame)),
       registry_(registryHost, registryPort),
       options_(std::move(options)),
-      primaryName_(!options_.spaceToken.empty() ? spaceMemberName(options_.spaceToken)
-                   : options_.ringToken.empty() ? shardName(options_.index, options_.total)
-                                                : ringMemberName(options_.ringToken)),
+      kind_(options_.spaceToken.empty() ? Partitioning::Ring : Partitioning::Spatial),
+      token_(!options_.spaceToken.empty()  ? options_.spaceToken
+             : !options_.ringToken.empty() ? options_.ringToken
+                                           : kDefaultRingToken),
+      primaryName_(memberName(kind_, token_)),
       name_(options_.role == Role::Backup ? primaryName_ + kBackupSuffix : primaryName_),
       role_(options_.role),
       generation_(options_.generation) {
@@ -41,7 +52,7 @@ ShardHost::ShardHost(const util::Clock& clock, geo::Rect universe, const std::st
                     "ShardHost: heartbeatPeriod must undercut announceTtl");
   mw::util::require(options_.ringToken.empty() || options_.spaceToken.empty(),
                     "ShardHost: ringToken and spaceToken are mutually exclusive");
-  mw::util::require(!options_.deferAnnounce || !options_.ringToken.empty(),
+  mw::util::require(!options_.deferAnnounce || kind_ == Partitioning::Ring,
                     "ShardHost: deferAnnounce is for ring joiners");
   mw::util::require(options_.role != Role::Backup || options_.announceTtl.count() > 0,
                     "ShardHost: a backup needs the heartbeat (announceTtl > 0) to "
@@ -72,7 +83,11 @@ void ShardHost::start() {
     }
   }
   installTap();
-  registerHandoffMethods();
+  serveMigrate(core_->rpcServer(),
+               {[this](const MigrateRequest& request) { return beginMigration(request); },
+                [this](const std::vector<util::MobileObjectId>& objects) { adoptObjects(objects); },
+                [this](std::uint64_t session) { return flushMigration(session); },
+                [this](std::uint64_t session) { return endMigration(session); }});
   if (!options_.deferAnnounce) {
     announceOnce();
     announced_.store(true, std::memory_order_release);
@@ -112,7 +127,10 @@ void ShardHost::stop() {
     link_.reset();
     linkedBackup_.reset();
     sessions_.clear();
-    territorySessions_.clear();
+  }
+  {
+    std::lock_guard lock(peersMutex_);
+    peers_.clear();
   }
   shmListener_.reset();
   shmName_.clear();
@@ -184,19 +202,27 @@ std::shared_ptr<ReplicationLink> ShardHost::replicationLink() const {
   return link_;
 }
 
-std::vector<std::shared_ptr<HandoffSession>> ShardHost::handoffSnapshot() const {
+std::vector<std::shared_ptr<HandoffSession>> ShardHost::sessionSnapshot() const {
+  std::vector<std::shared_ptr<HandoffSession>> sessions;
   std::lock_guard lock(mutex_);
-  return sessions_;
+  sessions.reserve(sessions_.size());
+  for (const auto& [id, session] : sessions_) sessions.push_back(session);
+  return sessions;
+}
+
+std::size_t ShardHost::migrationSessions() const {
+  std::lock_guard lock(mutex_);
+  return sessions_.size();
 }
 
 void ShardHost::installTap() {
   core_->locationService().setIngestTap(
       [this](std::span<const db::SensorReading> batch) -> std::vector<db::SensorReading> {
         std::vector<db::SensorReading> kept(batch.begin(), batch.end());
-        // Handoff first: readings in an arc being handed off belong to the
-        // joiner — they must be neither applied here nor mirrored to the
-        // backup (the joiner's own replication covers them from now on).
-        for (const auto& session : handoffSnapshot()) {
+        // Migration first: readings of a migrating object belong to the
+        // gainer — they must be neither applied here nor mirrored to the
+        // backup (the gainer's own replication covers them from now on).
+        for (const auto& session : sessionSnapshot()) {
           if (kept.empty()) break;
           kept = session->filter(std::move(kept));
         }
@@ -219,18 +245,15 @@ bool ShardHost::backupPlacementAcceptable(const core::Endpoint& backup) {
     auto meta = registry_.getMeta(kTerritoryMetaName);
     if (!meta) return true;
     map = TerritoryMap::decode(meta->value);
-    for (const std::string& name : registry_.list()) {
-      auto token = parseSpaceMemberName(name);
-      if (!token) continue;
-      if (auto peer = registry_.lookupEntry(name)) {
-        memberHosts.emplace(std::move(*token), peer->endpoint.host);
-      }
+    const MemberMap members = resolveMembers(registry_, Partitioning::Spatial);
+    for (std::size_t i = 0; i < members.tokens.size(); ++i) {
+      if (members.endpoints[i]) memberHosts.emplace(members.tokens[i], members.endpoints[i]->host);
     }
   } catch (const util::TransportError&) {
     return true;
   }
   PlacementDecision decision =
-      evaluateBackupPlacement(map, options_.spaceToken, backup.host, memberHosts);
+      evaluateBackupPlacement(map, token_, backup.host, memberHosts);
   if (decision.accepted) return true;
   placementConflicts_.fetch_add(1, std::memory_order_relaxed);
   std::string conflicts;
@@ -276,12 +299,12 @@ void ShardHost::maintainReplication() {
     std::lock_guard lock(mutex_);
     if (link_ && linkedBackup_ == entry->endpoint) return;  // already mirroring there
   }
-  if (!options_.spaceToken.empty() && !backupPlacementAcceptable(entry->endpoint)) {
+  if (kind_ == Partitioning::Spatial && !backupPlacementAcceptable(entry->endpoint)) {
     return;  // Strict placement refused the colocated standby
   }
   std::shared_ptr<core::RemoteLocationClient> client;
   try {
-    client = connectPeer(entry->endpoint);
+    client = connectMember(entry->endpoint, kPeerCallTimeout);
   } catch (const util::TransportError&) {
     util::logWarn("ShardHost", primaryName_, ": backup ", backupName,
                   " announced but unreachable; will retry next heartbeat");
@@ -349,287 +372,131 @@ void ShardHost::monitorPrimary() {
                 " expired; promoted to primary at generation ", claimGeneration);
 }
 
-std::shared_ptr<core::RemoteLocationClient> ShardHost::connectPeer(
-    const core::Endpoint& endpoint, std::shared_ptr<orb::RpcClient>* rawOut) {
-  std::shared_ptr<orb::Transport> transport;
-  if (!endpoint.shmName.empty()) {
-    try {
-      transport = orb::shmConnect(endpoint.shmName);
-    } catch (const util::TransportError&) {
-      util::logWarn("ShardHost", name_, ": peer shm lane ", endpoint.shmName,
-                    " unreachable; falling back to tcp");
+std::shared_ptr<core::RemoteLocationClient> ShardHost::peerFor(const core::Endpoint& endpoint) {
+  std::lock_guard lock(peersMutex_);
+  for (auto& [where, client] : peers_) {
+    if (where != endpoint) continue;
+    if (!client->rpc()->isOpen()) client = connectMember(endpoint, kPeerCallTimeout);
+    return client;
+  }
+  return peers_.emplace_back(endpoint, connectMember(endpoint, kPeerCallTimeout)).second;
+}
+
+// --- migration: losing side ---------------------------------------------------
+
+MigrateBegun ShardHost::beginMigration(const MigrateRequest& request) {
+  auto client = peerFor(request.gainer);
+  // The moving set: the caller's explicit objects, plus every resident the
+  // request's rects or arcs cover. Computed and installed under one ingest
+  // pause so the split is exact: every reading acked before this instant is
+  // in the local store (the gainer will import it), every later one hits the
+  // session's filter.
+  MigrateBegun begun;
+  begun.affected = request.objects;
+  std::unordered_set<util::MobileObjectId> moving(begun.affected.begin(), begun.affected.end());
+  auto pause = core_->locationService().pauseIngest();
+  const auto& database = core_->database();
+  // A boundary crossing names its one object; only rects and arcs need the
+  // resident scan, which would otherwise stretch every crossing's pause.
+  if (!request.rects.empty() || !request.arcs.empty()) {
+    for (const auto& object : database.knownMobileObjects()) {
+      if (moving.contains(object)) continue;
+      if ((!request.arcs.empty() && arcsContain(request.arcs, objectRingKey(object))) ||
+          centeredIn(database, object, request.rects)) {
+        begun.affected.push_back(object);
+        moving.insert(object);
+      }
     }
   }
-  if (!transport) transport = orb::tcpConnect(endpoint.host, endpoint.port);
-  auto rpc = std::make_shared<orb::RpcClient>(std::move(transport));
-  rpc->setCallTimeout(kPeerCallTimeout);
-  if (rawOut) *rawOut = rpc;
-  return std::make_shared<core::RemoteLocationClient>(std::move(rpc));
+  auto session = std::make_shared<HandoffSession>(request.gainerToken, begun.affected,
+                                                  request.arcs, std::move(client));
+  std::lock_guard lock(mutex_);
+  // An object migrating BACK to a shard it once left must not be eaten by
+  // the stale forwarding session of that earlier migration (and a retried
+  // begin supersedes the failed attempt's session).
+  pruneSessionsLocked(begun.affected);
+  begun.session = nextSession_++;
+  sessions_.emplace(begun.session, std::move(session));
+  return begun;
 }
 
-// --- handoff: losing-owner side ----------------------------------------------
+void ShardHost::adoptObjects(const std::vector<util::MobileObjectId>& objects) {
+  // Gaining side: this shard is about to become the objects' home again, so
+  // any forwarding session a PAST migration left here must stop consuming
+  // their readings (else a reading routed here would bounce to the old
+  // gainer and chase its own tail).
+  auto pause = core_->locationService().pauseIngest();
+  std::lock_guard lock(mutex_);
+  pruneSessionsLocked(objects);
+}
 
-void ShardHost::registerHandoffMethods() {
-  auto& server = core_->rpcServer();
-
-  // handoff.begin(joinerToken, joinerEndpoint, arcs) -> affected objects.
-  // Installed under pauseIngest so the split is exact: every reading acked
-  // before this instant is in the local store (the joiner will export it),
-  // every later one hits the session's filter.
-  server.registerMethod("handoff.begin", [this](const util::Bytes& args) -> util::Bytes {
-    util::ByteReader r(args);
-    std::string joinerToken = r.str();
-    core::Endpoint joiner;
-    joiner.host = r.str();
-    joiner.port = r.u16();
-    joiner.shmName = r.str();
-    std::vector<RingArc> arcs = decodeArcs(r);
-    auto session = std::make_shared<HandoffSession>(std::move(joinerToken), std::move(arcs),
-                                                    connectPeer(joiner));
-    std::vector<util::MobileObjectId> affected;
-    {
-      auto pause = core_->locationService().pauseIngest();
-      {
-        std::lock_guard lock(mutex_);
-        sessions_.push_back(session);
-      }
-      for (const auto& object : core_->database().knownMobileObjects()) {
-        if (session->covers(object)) affected.push_back(object);
-      }
-    }
-    util::ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(affected.size()));
-    for (const auto& object : affected) w.str(object.str());
-    return w.take();
+void ShardHost::pruneSessionsLocked(std::span<const util::MobileObjectId> objects) {
+  std::erase_if(sessions_, [&](const auto& entry) {
+    entry.second->removeObjects(objects);
+    return entry.second->empty();
   });
+}
 
-  // handoff.flush(joinerToken) -> ok. Drains the buffered arc readings to
-  // the joiner and switches the session to live forwarding.
-  server.registerMethod("handoff.flush", [this](const util::Bytes& args) -> util::Bytes {
-    util::ByteReader r(args);
-    const std::string joinerToken = r.str();
-    bool ok = false;
-    for (const auto& session : handoffSnapshot()) {
-      if (session->joinerToken() == joinerToken) ok = session->flush();
-    }
-    util::ByteWriter w;
-    w.boolean(ok);
-    return w.take();
-  });
+std::shared_ptr<HandoffSession> ShardHost::sessionById(std::uint64_t session) const {
+  std::lock_guard lock(mutex_);
+  auto it = sessions_.find(session);
+  return it == sessions_.end() ? nullptr : it->second;
+}
 
-  // handoff.end(joinerToken) -> ok. Drops the moved objects' local state;
-  // the session stays installed and forwarding, so a straggler reading from
+bool ShardHost::flushMigration(std::uint64_t session) {
+  auto found = sessionById(session);
+  return found != nullptr && found->flush();
+}
+
+bool ShardHost::endMigration(std::uint64_t session) {
+  // The session stays installed and forwarding, so a straggler reading from
   // a router still closing its dual-read window is proxied, not lost.
-  server.registerMethod("handoff.end", [this](const util::Bytes& args) -> util::Bytes {
-    util::ByteReader r(args);
-    const std::string joinerToken = r.str();
-    std::shared_ptr<HandoffSession> session;
-    for (const auto& candidate : handoffSnapshot()) {
-      if (candidate->joinerToken() == joinerToken) session = candidate;
-    }
-    util::ByteWriter w;
-    if (!session || !session->forwarding()) {
-      w.boolean(false);  // unknown session, or end before flush
-      return w.take();
-    }
-    for (const auto& object : core_->database().knownMobileObjects()) {
-      if (session->covers(object)) core_->database().dropMobileObject(object);
-    }
-    w.boolean(true);
-    return w.take();
-  });
-
-  // --- territory migration (spatial partitioning, territory_map.hpp) ----------
-  // Same buffer-then-forward protocol as handoff.*, but coverage is an
-  // explicit OBJECT SET and sessions are keyed by a fresh id, not the peer
-  // token — one shard pair can run many migrations over its lifetime and a
-  // token key would alias them.
-
-  // territory.migrateBegin(gainerToken, gainerEndpoint, objects, rects)
-  //   -> (sessionId, affected objects).
-  // The moving set is the union of the router's explicit list (its homed
-  // residents) and every local resident whose evidence box centers in a
-  // migrated rect (belt and braces for objects the router never homed).
-  // Installed under pauseIngest; existing sessions are pruned of the moving
-  // objects first, so an object migrating BACK to a shard it once left is
-  // not eaten by the stale forwarding session of that earlier migration.
-  server.registerMethod("territory.migrateBegin", [this](const util::Bytes& args) -> util::Bytes {
-    util::ByteReader r(args);
-    std::string gainerToken = r.str();
-    core::Endpoint gainer;
-    gainer.host = r.str();
-    gainer.port = r.u16();
-    gainer.shmName = r.str();
-    std::vector<util::MobileObjectId> affected;
-    const std::uint32_t objectCount = r.u32();
-    affected.reserve(objectCount);
-    for (std::uint32_t i = 0; i < objectCount; ++i) {
-      affected.emplace_back(util::MobileObjectId{r.str()});
-    }
-    std::vector<geo::Rect> rects;
-    const std::uint32_t rectCount = r.u32();
-    rects.reserve(rectCount);
-    for (std::uint32_t i = 0; i < rectCount; ++i) {
-      const double lx = r.f64();
-      const double ly = r.f64();
-      const double hx = r.f64();
-      const double hy = r.f64();
-      rects.push_back(geo::Rect::fromCorners({lx, ly}, {hx, hy}));
-    }
-    auto client = connectPeer(gainer);
-    std::uint64_t sessionId = 0;
-    {
-      auto pause = core_->locationService().pauseIngest();
-      std::unordered_set<util::MobileObjectId> moving(affected.begin(), affected.end());
-      if (!rects.empty()) {
-        for (const auto& object : core_->database().knownMobileObjects()) {
-          if (moving.contains(object)) continue;
-          const auto box = core_->database().evidenceBoxOf(object);
-          if (!box) continue;
-          const geo::Point2 center = box->center();
-          if (std::any_of(rects.begin(), rects.end(),
-                          [&](const geo::Rect& rect) { return rect.contains(center); })) {
-            affected.push_back(object);
-            moving.insert(object);
-          }
-        }
-      }
-      auto session = std::make_shared<HandoffSession>(std::move(gainerToken), affected,
-                                                      std::move(client));
-      std::lock_guard lock(mutex_);
-      for (const auto& existing : sessions_) existing->removeObjects(affected);
-      sessionId = nextTerritorySession_++;
-      territorySessions_[sessionId] = session;
-      sessions_.push_back(std::move(session));
-    }
-    util::ByteWriter w;
-    w.u64(sessionId);
-    w.u32(static_cast<std::uint32_t>(affected.size()));
-    for (const auto& object : affected) w.str(object.str());
-    return w.take();
-  });
-
-  // territory.adopt(objects) -> ok. Gaining-side prune: this shard is about
-  // to become the objects' home again, so any forwarding session a PAST
-  // migration left here must stop consuming their readings (else a reading
-  // routed here would bounce to the old gainer and chase its own tail).
-  server.registerMethod("territory.adopt", [this](const util::Bytes& args) -> util::Bytes {
-    util::ByteReader r(args);
-    std::vector<util::MobileObjectId> objects;
-    const std::uint32_t count = r.u32();
-    objects.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      objects.emplace_back(util::MobileObjectId{r.str()});
-    }
-    {
-      auto pause = core_->locationService().pauseIngest();
-      for (const auto& session : handoffSnapshot()) session->removeObjects(objects);
-    }
-    util::ByteWriter w;
-    w.boolean(true);
-    return w.take();
-  });
-
-  // territory.flush(sessionId) -> ok. Buffer drain + switch to forwarding.
-  server.registerMethod("territory.flush", [this](const util::Bytes& args) -> util::Bytes {
-    util::ByteReader r(args);
-    const std::uint64_t sessionId = r.u64();
-    std::shared_ptr<HandoffSession> session;
-    {
-      std::lock_guard lock(mutex_);
-      if (auto it = territorySessions_.find(sessionId); it != territorySessions_.end()) {
-        session = it->second;
-      }
-    }
-    util::ByteWriter w;
-    w.boolean(session != nullptr && session->flush());
-    return w.take();
-  });
-
-  // territory.end(sessionId) -> ok. Drops the moved objects' local state;
-  // the session keeps forwarding stragglers like handoff.end.
-  server.registerMethod("territory.end", [this](const util::Bytes& args) -> util::Bytes {
-    util::ByteReader r(args);
-    const std::uint64_t sessionId = r.u64();
-    std::shared_ptr<HandoffSession> session;
-    {
-      std::lock_guard lock(mutex_);
-      if (auto it = territorySessions_.find(sessionId); it != territorySessions_.end()) {
-        session = it->second;
-      }
-    }
-    util::ByteWriter w;
-    if (!session || !session->forwarding()) {
-      w.boolean(false);  // unknown session, or end before flush
-      return w.take();
-    }
-    for (const auto& object : core_->database().knownMobileObjects()) {
-      if (session->covers(object)) core_->database().dropMobileObject(object);
-    }
-    w.boolean(true);
-    return w.take();
-  });
-
-  // territory.stats() -> cumulative load counters (see LoadStats) — what the
-  // balancer polls to find hot and cold shards.
-  server.registerMethod("territory.stats", [this](const util::Bytes&) -> util::Bytes {
-    const LoadStats stats = loadStats();
-    util::ByteWriter w;
-    w.u64(stats.ingestedReadings);
-    w.u64(stats.importedReadings);
-    w.u64(stats.regionQueries);
-    w.u64(stats.residentObjects);
-    return w.take();
-  });
+  auto found = sessionById(session);
+  if (!found || !found->forwarding()) return false;  // unknown, or end before flush
+  auto& database = core_->database();
+  for (const auto& object : database.knownMobileObjects()) {
+    if (found->covers(object)) database.dropMobileObject(object);
+  }
+  return true;
 }
 
-// --- handoff: joining side ----------------------------------------------------
+// --- ring membership -------------------------------------------------------------
 
 void ShardHost::joinRing() {
   mw::util::require(running_, "ShardHost::joinRing: start() first");
-  mw::util::require(!options_.ringToken.empty(), "ShardHost::joinRing: not a ring member");
+  mw::util::require(kind_ == Partitioning::Ring, "ShardHost::joinRing: not a ring member");
   mw::util::require(!announced_.load(std::memory_order_acquire),
                     "ShardHost::joinRing: already announced (start with deferAnnounce)");
-  RingMemberMap members = resolveRingMembers(registry_);
+  const MemberMap members = resolveMembers(registry_, Partitioning::Ring);
   HashRing before(members.tokens);
   std::vector<std::string> afterTokens = members.tokens;
-  afterTokens.push_back(options_.ringToken);
+  afterTokens.push_back(token_);
   HashRing after(std::move(afterTokens));
-  // Group this member's claimed arcs by the owner losing them: one handoff
-  // session (one connection, one FIFO) per loser.
+  // Group this member's claimed arcs by the owner losing them: one session
+  // (one connection, one FIFO) per loser.
   std::map<std::string, std::vector<RingArc>> byLoser;
-  for (auto& claim : HashRing::claimsFor(before, after, options_.ringToken)) {
+  for (auto& claim : HashRing::claimsFor(before, after, token_)) {
     if (claim.loser.empty()) continue;  // genesis: nothing to move
     byLoser[claim.loser].push_back(claim.arc);
   }
   pendingJoin_.clear();
   for (auto& [loser, arcs] : byLoser) {
-    const auto slot =
-        std::lower_bound(members.tokens.begin(), members.tokens.end(), loser);
-    const std::size_t index = static_cast<std::size_t>(slot - members.tokens.begin());
-    if (slot == members.tokens.end() || *slot != loser || !members.endpoints[index]) {
+    const auto endpoint = members.endpointOf(loser);
+    if (!endpoint) {
       // Expired between list and lookup: its readings are already lost to
       // the cluster; claim the arcs without a transfer.
       util::logWarn("ShardHost", name_, ": losing owner ", loser,
                     " unresolvable; joining its arcs without handoff");
       continue;
     }
+    MigrateRequest request;
+    request.gainerToken = token_;
+    request.gainer = selfEndpoint();
+    request.arcs = std::move(arcs);
     PendingHandoff pending;
     pending.loserToken = loser;
-    pending.typed = connectPeer(*members.endpoints[index], &pending.rpc);
-    util::ByteWriter w;
-    w.str(options_.ringToken);
-    w.str("127.0.0.1");
-    w.u16(port_);
-    w.str(shmName_);
-    encodeArcs(w, arcs);
-    util::Bytes reply = pending.rpc->call("handoff.begin", w.take());
-    util::ByteReader r(reply);
-    const std::uint32_t count = r.u32();
-    pending.objects.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      pending.objects.emplace_back(util::MobileObjectId{r.str()});
-    }
+    pending.peer = peerFor(*endpoint);
+    pending.begun = callMigrateBegin(*pending.peer->rpc(), request);
     pendingJoin_.push_back(std::move(pending));
   }
   // Every loser is now capturing the claimed arcs; announcing makes fresh
@@ -638,7 +505,7 @@ void ShardHost::joinRing() {
   announceOnce();
   announced_.store(true, std::memory_order_release);
   util::logInfo("ShardHost", name_, ": joined the ring (", pendingJoin_.size(),
-                " handoff session(s) open)");
+                " migration session(s) open)");
 }
 
 void ShardHost::completeJoin() {
@@ -651,25 +518,18 @@ void ShardHost::completeJoin() {
     // total order the loser would have applied. Imported, not ingested: the
     // readings already fired their triggers where they were first observed,
     // so the replay must not fire them again here.
-    for (const auto& object : pending.objects) {
-      std::vector<db::SensorReading> log = pending.typed->exportReadings(object);
+    for (const auto& object : pending.begun.affected) {
+      std::vector<db::SensorReading> log = pending.peer->exportReadings(object);
       if (!log.empty()) service.importBatch(log);
     }
-    util::ByteWriter flushArgs;
-    flushArgs.str(options_.ringToken);
-    const util::Bytes flushBytes = pending.rpc->call("handoff.flush", flushArgs.take());
-    util::ByteReader flushReply(flushBytes);
-    if (!flushReply.boolean()) {
-      util::logWarn("ShardHost", name_, ": handoff flush on ", pending.loserToken,
+    orb::RpcClient& rpc = *pending.peer->rpc();
+    if (!callMigrateFlush(rpc, pending.begun.session)) {
+      util::logWarn("ShardHost", name_, ": migration flush on ", pending.loserToken,
                     " failed; leaving its session buffering for a retry");
       continue;
     }
-    util::ByteWriter endArgs;
-    endArgs.str(options_.ringToken);
-    const util::Bytes endBytes = pending.rpc->call("handoff.end", endArgs.take());
-    util::ByteReader endReply(endBytes);
-    if (!endReply.boolean()) {
-      util::logWarn("ShardHost", name_, ": handoff end on ", pending.loserToken, " rejected");
+    if (!callMigrateEnd(rpc, pending.begun.session)) {
+      util::logWarn("ShardHost", name_, ": migration end on ", pending.loserToken, " rejected");
     }
   }
   pendingJoin_.clear();
@@ -677,14 +537,14 @@ void ShardHost::completeJoin() {
 
 void ShardHost::leaveRing() {
   mw::util::require(running_, "ShardHost::leaveRing: start() first");
-  mw::util::require(!options_.ringToken.empty(), "ShardHost::leaveRing: not a ring member");
+  mw::util::require(kind_ == Partitioning::Ring, "ShardHost::leaveRing: not a ring member");
   mw::util::require(announced_.load(std::memory_order_acquire),
                     "ShardHost::leaveRing: not announced");
-  RingMemberMap members = resolveRingMembers(registry_);
+  const MemberMap members = resolveMembers(registry_, Partitioning::Ring);
   HashRing before(members.tokens);
   std::vector<std::string> afterTokens;
   for (const auto& token : members.tokens) {
-    if (token != options_.ringToken) afterTokens.push_back(token);
+    if (token != token_) afterTokens.push_back(token);
   }
   mw::util::require(!afterTokens.empty(),
                     "ShardHost::leaveRing: last ring member has nobody to inherit its data");
@@ -693,44 +553,31 @@ void ShardHost::leaveRing() {
   // holds no other ring point, so once this member's points are gone every
   // key in it maps to the first surviving point at or past arc.hi.
   std::map<std::string, std::vector<RingArc>> byGainer;
-  for (const RingArc& arc : before.arcsOf(options_.ringToken)) {
+  for (const RingArc& arc : before.arcsOf(token_)) {
     byGainer[after.ownerForKey(arc.hi)].push_back(arc);
   }
   struct Drain {
     std::string gainer;
-    std::shared_ptr<core::RemoteLocationClient> typed;
-    std::shared_ptr<HandoffSession> session;
-    std::vector<util::MobileObjectId> objects;
+    std::shared_ptr<core::RemoteLocationClient> peer;
+    MigrateBegun begun;
   };
   std::vector<Drain> drains;
   for (auto& [gainer, arcs] : byGainer) {
-    const auto slot = std::lower_bound(members.tokens.begin(), members.tokens.end(), gainer);
-    const std::size_t index = static_cast<std::size_t>(slot - members.tokens.begin());
-    if (slot == members.tokens.end() || *slot != gainer || !members.endpoints[index]) {
+    const auto endpoint = members.endpointOf(gainer);
+    if (!endpoint) {
       util::logWarn("ShardHost", name_, ": arc inheritor ", gainer,
                     " unresolvable; leaving its arcs without handoff");
       continue;
     }
-    Drain drain;
-    drain.gainer = gainer;
-    drain.typed = connectPeer(*members.endpoints[index]);
-    drain.session = std::make_shared<HandoffSession>(gainer, std::move(arcs), drain.typed);
-    drains.push_back(std::move(drain));
-  }
-  {
-    // From this pause on, the leaving arcs' readings are consumed by the
-    // sessions (buffered, later forwarded) — the local store is a frozen cut
+    // The same protocol as a join, with this host as the loser serving
+    // itself: from begin on, the leaving arcs' readings are consumed by the
+    // session (buffered, later forwarded) — the local store is a frozen cut
     // for the export below.
-    auto pause = core_->locationService().pauseIngest();
-    {
-      std::lock_guard lock(mutex_);
-      for (const auto& drain : drains) sessions_.push_back(drain.session);
-    }
-    for (auto& drain : drains) {
-      for (const auto& object : core_->database().knownMobileObjects()) {
-        if (drain.session->covers(object)) drain.objects.push_back(object);
-      }
-    }
+    MigrateRequest request;
+    request.gainerToken = gainer;
+    request.gainer = *endpoint;
+    request.arcs = std::move(arcs);
+    drains.push_back({gainer, peerFor(*endpoint), beginMigration(request)});
   }
   // Leave the ring: stop re-announcing, withdraw the entry. Routers that
   // refresh now recompute ownership and open their dual-read window; readings
@@ -746,22 +593,22 @@ void ShardHost::leaveRing() {
     try {
       // Imported, not ingested: the readings fired their triggers here when
       // first observed; the inheritor must store them without re-firing.
-      for (const auto& object : drain.objects) {
+      for (const auto& object : drain.begun.affected) {
         std::vector<db::SensorReading> log = core_->database().exportObjectLog(object);
-        if (!log.empty()) drain.typed->importBatch(log);
+        if (!log.empty()) drain.peer->importBatch(log);
       }
     } catch (const util::MwError&) {
       util::logWarn("ShardHost", name_, ": export to ", drain.gainer,
                     " failed; its arcs stay buffered for a retry");
       continue;
     }
-    if (!drain.session->flush()) {
+    if (!flushMigration(drain.begun.session)) {
       util::logWarn("ShardHost", name_, ": drain flush to ", drain.gainer,
                     " failed; keeping its buffer");
       continue;
     }
-    for (const auto& object : drain.objects) core_->database().dropMobileObject(object);
-    moved += drain.objects.size();
+    (void)endMigration(drain.begun.session);
+    moved += drain.begun.affected.size();
   }
   util::logInfo("ShardHost", name_, ": left the ring (", moved, " object(s) drained into ",
                 drains.size(), " inheritor(s)); still forwarding stragglers");

@@ -1,8 +1,8 @@
 // One shard of the location-service cluster: a full Middlewhere core (its
 // own spatial database, LocationService and concurrent RpcServer) listening
-// on its own TCP port, announced in the RegistryServer under
-// "location.shard.<i>/<N>" (modulo mode) or "location.ring.<token>" (ring
-// mode) with a TTL heartbeat.
+// on its own TCP port, announced in the RegistryServer as a member —
+// "location.ring.<token>" (object-hash ring) or "location.space.<token>"
+// (spatial territory) — with a TTL heartbeat.
 //
 // Lifecycle: construct, configure the world through core() (regions,
 // sensors — the same setup every shard of a cluster must share so fused
@@ -24,23 +24,26 @@
 // primary's next heartbeat is rejected by the fence — it demotes (stops
 // claiming) instead of flapping ownership back.
 //
-// Ring membership: a host with a ringToken and deferAnnounce can join a
-// live ring — joinRing() opens handoff sessions on the owners losing arcs
-// to it (their taps start buffering those arcs' readings) and only then
-// announces; completeJoin() streams the affected objects' logs across,
-// flushes the buffers and drops the moved objects from the losers. See
-// replication.hpp for the exactness argument.
+// Migration (replication.hpp): every shard serves the migrate.* methods and
+// keeps one session table for the migrations it is losing objects in. A
+// ring member can also join a live ring — joinRing() opens a session on
+// every owner losing arcs to it (their taps start buffering those arcs'
+// readings) and only then announces; completeJoin() streams the affected
+// objects' logs across, flushes the buffers and drops the moved objects from
+// the losers — and leave it again (leaveRing(), the same steps run locally).
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cluster/replication.hpp"
@@ -54,13 +57,14 @@ namespace mw::cluster {
 /// Registry-name suffix a backup announces under: "<primaryName>.backup".
 inline constexpr const char* kBackupSuffix = ".backup";
 
+/// Ring token of a host configured with neither ringToken nor spaceToken.
+inline constexpr const char* kDefaultRingToken = "default";
+
 class ShardHost {
  public:
   enum class Role { Primary, Backup };
 
   struct Options {
-    std::size_t index = 0;  ///< this shard's slot, < total (modulo mode)
-    std::size_t total = 1;  ///< cluster width N (modulo mode)
     std::uint16_t port = 0;  ///< service port (0 = ephemeral)
     /// Registry-entry TTL; zero disables expiry (and the heartbeat thread).
     util::Duration announceTtl = util::sec(2);
@@ -70,12 +74,13 @@ class ShardHost {
     /// its name, so colocated routers skip the TCP loopback hop. Ignored
     /// (with a warning) when POSIX shm is unavailable on the host.
     bool enableShm = true;
-    /// Consistent-hash-ring member token; when set the shard announces as
-    /// "location.ring.<token>" instead of "location.shard.<i>/<N>".
+    /// Consistent-hash-ring member token: the shard announces as
+    /// "location.ring.<token>". A host given neither token is a ring member
+    /// under kDefaultRingToken.
     std::string ringToken;
     /// Spatial-partitioning member token; when set the shard announces as
-    /// "location.space.<token>" and serves the territory.* handoff methods
-    /// (territory_map.hpp). Mutually exclusive with ringToken.
+    /// "location.space.<token>" (territory_map.hpp). Mutually exclusive
+    /// with ringToken.
     std::string spaceToken;
     /// Primary serves and (when a backup announces) replicates; Backup
     /// keeps the warm standby and promotes on the primary's TTL expiry.
@@ -130,9 +135,9 @@ class ShardHost {
     return heartbeatFailures_.load(std::memory_order_relaxed);
   }
 
-  /// Cumulative load this shard has carried — what a balancer polls (also
-  /// served over the wire as "territory.stats") to find hot and cold shards.
-  /// Counters are since-start; poll twice and diff for rates.
+  /// Cumulative load this shard has carried — what a balancer reads to find
+  /// hot and cold shards. Counters are since-start; poll twice and diff for
+  /// rates.
   struct LoadStats {
     std::uint64_t ingestedReadings = 0;  ///< live readings applied
     std::uint64_t importedReadings = 0;  ///< handoff/replication replays
@@ -170,11 +175,17 @@ class ShardHost {
   /// a dead registry cannot be withdrawn from, but the TTL cleans up).
   void stop();
 
-  // --- ring membership --------------------------------------------------------
+  // --- migration --------------------------------------------------------------
 
-  /// Ring mode, after start() with deferAnnounce: computes the arcs this
+  /// Open migration sessions this shard is the losing side of. An object-set
+  /// session is retired once a later migration prunes its last object; an
+  /// arc session (ring join or leave) stays and forwards stragglers until
+  /// stop().
+  [[nodiscard]] std::size_t migrationSessions() const;
+
+  /// Ring member, after start() with deferAnnounce: computes the arcs this
   /// shard's token claims from the currently announced members, opens a
-  /// handoff session on every losing owner (their taps buffer those arcs'
+  /// migration session on every losing owner (their taps buffer those arcs'
   /// readings from this moment), then announces this shard and starts the
   /// heartbeat. Routers that refresh now see the new ring and should keep a
   /// dual-read window open until completeJoin() has run.
@@ -186,7 +197,7 @@ class ShardHost {
 
   /// Planned drain — the inverse of joinRing(), losers of nothing and one
   /// exporter: computes who inherits each of this member's arcs once it is
-  /// gone, installs a handoff session per gainer (the tap starts consuming
+  /// gone, installs a migration session per gainer (the tap starts consuming
   /// those arcs' readings), withdraws the registry entry (routers recompute
   /// the ring and open their dual-read window; this host keeps serving),
   /// exports every covered object's log into its gainer (importBatch — no
@@ -208,16 +219,27 @@ class ShardHost {
   /// Backup tick: watch the primary entry; promote when it expires.
   void monitorPrimary();
   void installTap();
-  void registerHandoffMethods();
-  /// shm-first (TCP fallback) connection to a peer endpoint.
-  [[nodiscard]] std::shared_ptr<core::RemoteLocationClient> connectPeer(
-      const core::Endpoint& endpoint, std::shared_ptr<orb::RpcClient>* rawOut = nullptr);
   [[nodiscard]] core::Endpoint selfEndpoint() const;
-  [[nodiscard]] std::vector<std::shared_ptr<HandoffSession>> handoffSnapshot() const;
+  /// The pooled migration connection to `endpoint`, (re)connected when
+  /// absent or closed.
+  [[nodiscard]] std::shared_ptr<core::RemoteLocationClient> peerFor(const core::Endpoint& endpoint);
+
+  // migrate.* handlers (replication.hpp); leaveRing() calls them locally.
+  MigrateBegun beginMigration(const MigrateRequest& request);
+  void adoptObjects(const std::vector<util::MobileObjectId>& objects);
+  bool flushMigration(std::uint64_t session);
+  bool endMigration(std::uint64_t session);
+  [[nodiscard]] std::shared_ptr<HandoffSession> sessionById(std::uint64_t session) const;
+  [[nodiscard]] std::vector<std::shared_ptr<HandoffSession>> sessionSnapshot() const;
+  /// Removes `objects` from every session's coverage and retires the
+  /// sessions left empty. Call with ingest paused and mutex_ held.
+  void pruneSessionsLocked(std::span<const util::MobileObjectId> objects);
 
   std::unique_ptr<core::Middlewhere> core_;
   core::RegistryClient registry_;
   const Options options_;
+  const Partitioning kind_;
+  const std::string token_;
   const std::string primaryName_;
   const std::string name_;
   std::uint16_t port_ = 0;
@@ -250,14 +272,16 @@ class ShardHost {
   /// Published replication link (swap under mutex_, the tap pins the
   /// shared_ptr for the call).
   std::shared_ptr<ReplicationLink> link_;
-  /// Open handoff sessions (losing-owner side); under mutex_, the tap
-  /// copies the (tiny) vector out per call.
-  std::vector<std::shared_ptr<HandoffSession>> sessions_;
-  /// Territory-migration sessions also indexed by their wire id (they live
-  /// in sessions_ too for the tap); under mutex_. Ids are never reused — a
-  /// shard pair can run many migrations and a token key would alias them.
-  std::unordered_map<std::uint64_t, std::shared_ptr<HandoffSession>> territorySessions_;
-  std::uint64_t nextTerritorySession_ = 1;
+  /// Migration sessions (losing side) by id — ordered, so the tap filters
+  /// in install order; under mutex_, the tap copies the (tiny) table out per
+  /// call. Ids are never reused.
+  std::map<std::uint64_t, std::shared_ptr<HandoffSession>> sessions_;
+  std::uint64_t nextSession_ = 1;
+  /// One migration connection per peer endpoint, shared by every session and
+  /// join/leave transfer towards it; under peersMutex_ (held across a
+  /// connect, so never mutex_).
+  std::mutex peersMutex_;
+  std::vector<std::pair<core::Endpoint, std::shared_ptr<core::RemoteLocationClient>>> peers_;
   /// Set once the shard is announced (immediately, or by joinRing when
   /// deferAnnounce); the heartbeat only re-announces after that.
   std::atomic<bool> announced_{false};
@@ -265,9 +289,8 @@ class ShardHost {
   /// Pending join state between joinRing() and completeJoin().
   struct PendingHandoff {
     std::string loserToken;
-    std::shared_ptr<orb::RpcClient> rpc;           ///< for handoff.* calls
-    std::shared_ptr<core::RemoteLocationClient> typed;  ///< for exportReadings
-    std::vector<util::MobileObjectId> objects;
+    std::shared_ptr<core::RemoteLocationClient> peer;
+    MigrateBegun begun;
   };
   std::vector<PendingHandoff> pendingJoin_;
 

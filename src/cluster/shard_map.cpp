@@ -1,36 +1,13 @@
 #include "cluster/shard_map.hpp"
 
 #include <algorithm>
-#include <charconv>
 
+#include "orb/shm.hpp"
+#include "orb/tcp.hpp"
 #include "util/error.hpp"
+#include "util/logging.hpp"
 
 namespace mw::cluster {
-
-std::string shardName(std::size_t index, std::size_t total) {
-  mw::util::require(total > 0, "shardName: total must be positive");
-  mw::util::require(index < total, "shardName: index out of range");
-  return kShardNamePrefix + std::to_string(index) + "/" + std::to_string(total);
-}
-
-std::optional<ParsedShardName> parseShardName(const std::string& name) {
-  const std::string_view prefix = kShardNamePrefix;
-  if (name.rfind(prefix, 0) != 0) return std::nullopt;
-  const std::string_view rest = std::string_view(name).substr(prefix.size());
-  const std::size_t slash = rest.find('/');
-  if (slash == std::string_view::npos) return std::nullopt;
-  const std::string_view indexPart = rest.substr(0, slash);
-  const std::string_view totalPart = rest.substr(slash + 1);
-  ParsedShardName parsed;
-  auto [ip, iec] = std::from_chars(indexPart.data(), indexPart.data() + indexPart.size(),
-                                   parsed.index);
-  auto [tp, tec] = std::from_chars(totalPart.data(), totalPart.data() + totalPart.size(),
-                                   parsed.total);
-  if (iec != std::errc{} || ip != indexPart.data() + indexPart.size()) return std::nullopt;
-  if (tec != std::errc{} || tp != totalPart.data() + totalPart.size()) return std::nullopt;
-  if (parsed.total == 0 || parsed.index >= parsed.total) return std::nullopt;
-  return parsed;
-}
 
 std::uint64_t mixHash64(std::string_view bytes) {
   // FNV-1a, 64-bit: platform-independent, unlike std::hash<std::string>.
@@ -53,58 +30,70 @@ std::uint64_t objectRingKey(const util::MobileObjectId& object) {
   return mixHash64(object.str());
 }
 
-std::size_t shardForObject(const util::MobileObjectId& object, std::size_t total) {
-  mw::util::require(total > 0, "shardForObject: total must be positive");
-  return static_cast<std::size_t>(objectRingKey(object) % total);
+namespace {
+
+const char* prefixOf(Partitioning kind) {
+  return kind == Partitioning::Ring ? "location.ring." : "location.space.";
 }
 
-std::size_t ShardMap::announcedCount() const noexcept {
-  std::size_t n = 0;
-  for (const auto& ep : endpoints) {
-    if (ep) ++n;
-  }
-  return n;
+}  // namespace
+
+std::string memberName(Partitioning kind, const std::string& token) {
+  mw::util::require(!token.empty(), "memberName: empty token");
+  return prefixOf(kind) + token;
 }
 
-ShardMap resolveShardMap(core::RegistryClient& registry) {
-  ShardMap map;
-  for (const std::string& name : registry.list()) {
-    auto parsed = parseShardName(name);
-    if (!parsed) continue;  // unrelated service sharing the registry
-    if (map.total == 0) {
-      map.total = parsed->total;
-      map.endpoints.resize(map.total);
-    } else if (map.total != parsed->total) {
-      throw mw::util::ContractError("resolveShardMap: inconsistent shard totals in registry (" +
-                                    std::to_string(map.total) + " vs " +
-                                    std::to_string(parsed->total) + ")");
-    }
-    // The entry can expire between list() and lookup(); a nullopt lookup
-    // just leaves the slot unannounced.
-    map.endpoints[parsed->index] = registry.lookup(name);
-  }
-  return map;
-}
-
-std::string ringMemberName(const std::string& token) {
-  mw::util::require(!token.empty(), "ringMemberName: empty token");
-  return kRingNamePrefix + token;
-}
-
-std::optional<std::string> parseRingMemberName(const std::string& name) {
-  const std::string_view prefix = kRingNamePrefix;
+std::optional<std::string> parseMemberName(Partitioning kind, const std::string& name) {
+  const std::string_view prefix = prefixOf(kind);
   if (name.rfind(prefix, 0) != 0) return std::nullopt;
   std::string token = name.substr(prefix.size());
   if (token.empty()) return std::nullopt;
-  // "location.ring.<token>.backup" is a ring member's standby (shard_host),
-  // not a member: a router resolving it as one would route live traffic to
-  // a shard that only mirrors.
+  // "location.<kind>.<token>.backup" is a member's standby (shard_host), not
+  // a member: a router resolving it as one would route live traffic to a
+  // shard that only mirrors.
   const std::string_view backup = ".backup";
   if (token.size() >= backup.size() &&
       std::string_view(token).substr(token.size() - backup.size()) == backup) {
     return std::nullopt;
   }
   return token;
+}
+
+std::optional<core::Endpoint> MemberMap::endpointOf(const std::string& token) const {
+  const auto slot = std::lower_bound(tokens.begin(), tokens.end(), token);
+  if (slot == tokens.end() || *slot != token) return std::nullopt;
+  return endpoints[static_cast<std::size_t>(slot - tokens.begin())];
+}
+
+MemberMap resolveMembers(core::RegistryClient& registry, Partitioning kind) {
+  MemberMap map;
+  for (const std::string& name : registry.list()) {
+    auto token = parseMemberName(kind, name);
+    if (!token) continue;  // unrelated service sharing the registry
+    map.tokens.push_back(std::move(*token));
+  }
+  std::sort(map.tokens.begin(), map.tokens.end());
+  map.endpoints.reserve(map.tokens.size());
+  for (const std::string& token : map.tokens) {
+    map.endpoints.push_back(registry.lookup(memberName(kind, token)));
+  }
+  return map;
+}
+
+std::shared_ptr<core::RemoteLocationClient> connectMember(const core::Endpoint& endpoint,
+                                                          util::Duration callTimeout) {
+  std::shared_ptr<orb::Transport> transport;
+  if (!endpoint.shmName.empty()) {
+    try {
+      transport = orb::shmConnect(endpoint.shmName);
+    } catch (const util::TransportError&) {
+      util::logWarn("cluster", "shm lane ", endpoint.shmName, " unreachable; falling back to tcp");
+    }
+  }
+  if (!transport) transport = orb::tcpConnect(endpoint.host, endpoint.port);
+  auto rpc = std::make_shared<orb::RpcClient>(std::move(transport));
+  rpc->setCallTimeout(callTimeout);
+  return std::make_shared<core::RemoteLocationClient>(std::move(rpc));
 }
 
 HashRing::HashRing(std::vector<std::string> members, std::size_t vnodes)
@@ -173,21 +162,6 @@ std::vector<HashRing::Claim> HashRing::claimsFor(const HashRing& before,
     claims.push_back(std::move(claim));
   }
   return claims;
-}
-
-RingMemberMap resolveRingMembers(core::RegistryClient& registry) {
-  RingMemberMap map;
-  for (const std::string& name : registry.list()) {
-    auto token = parseRingMemberName(name);
-    if (!token) continue;  // unrelated service sharing the registry
-    map.tokens.push_back(std::move(*token));
-  }
-  std::sort(map.tokens.begin(), map.tokens.end());
-  map.endpoints.reserve(map.tokens.size());
-  for (const std::string& token : map.tokens) {
-    map.endpoints.push_back(registry.lookup(ringMemberName(token)));
-  }
-  return map;
 }
 
 }  // namespace mw::cluster

@@ -1,80 +1,78 @@
-// Shard naming and object partitioning for the location-service cluster.
+// Member naming and object-hash partitioning for the location-service
+// cluster.
 //
-// A cluster of N LocationService processes partitions the mobile-object
-// space by hash: shard i owns every object with shardForObject(o, N) == i.
-// Each shard announces itself in the RegistryServer under the name
-// "location.shard.<i>/<N>" — the index and the total are both in the name,
-// so a router can resolve the whole topology from a bare registry.list()
-// (discovery-then-route, the Gaia Space Repository pattern of §7 stretched
-// over the rendezvous-style service location of PAPERS.md).
+// A cluster is a set of LocationService shard processes, each announced in
+// the RegistryServer under "location.<kind>.<token>": "location.ring.<token>"
+// for object-hash members, "location.space.<token>" for spatial members
+// (territory_map.hpp). Membership IS the registry listing, so a router
+// resolves the whole topology from a bare registry.list() (discovery-then-
+// route, the Gaia Space Repository pattern of §7 stretched over the
+// rendezvous-style service location of PAPERS.md), and a member set may
+// change while the cluster runs.
 //
-// Ordering invariant: the router sends every reading for object o to shard
-// shardForObject(o, N); inside the shard the RpcServer's "ingest" lane
-// selector routes by hash(object) again. One object therefore flows through
-// one TCP ordering domain into one executor lane into one reading-store
-// stripe — per-object ordering holds end-to-end, so a sharded replay is
-// byte-identical to a sequential one.
+// Object hashing: HashRing places `vnodes` points per member on a 64-bit
+// circle (FNV-1a + splitmix64) and assigns each object to the first point at
+// or after its key. A joining member takes only the arcs its points cut out
+// of the existing ones — bounded movement, everyone else's objects stay put.
+// A ring whose membership never changes is the fixed-width partition.
 //
-// Ring partitioning: the modulo map above reshuffles nearly every object
-// when N changes, so it cannot support online membership change. HashRing
-// places `vnodes` points per member on a 64-bit circle (same FNV-1a +
-// splitmix64 mix) and assigns each object to the first point at or after
-// its key. A joining member takes only the arcs its points cut out of the
-// existing ones — bounded movement, everyone else's objects stay put. Ring
-// members announce under "location.ring.<token>" (no total in the name:
-// membership IS the registry listing, which is what makes it dynamic).
+// Ordering invariant: the router sends every reading for object o to o's
+// owner; inside the shard the RpcServer's "ingest" lane selector routes by
+// hash(object) again. One object therefore flows through one connection
+// into one executor lane into one reading-store stripe — per-object ordering
+// holds end-to-end, so a sharded replay is byte-identical to a sequential
+// one.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/remote.hpp"
 #include "core/remote_registry.hpp"
 #include "util/ids.hpp"
 
 namespace mw::cluster {
 
-/// Registry-name prefix shared by every shard announcement.
-inline constexpr const char* kShardNamePrefix = "location.shard.";
-
-/// "location.shard.<index>/<total>".
-[[nodiscard]] std::string shardName(std::size_t index, std::size_t total);
-
-struct ParsedShardName {
-  std::size_t index = 0;
-  std::size_t total = 0;
+/// How the cluster partitions objects among its members.
+enum class Partitioning {
+  Ring,     ///< consistent-hash ring over "location.ring.<token>" members
+  Spatial,  ///< kd-split territory map over "location.space.<token>" members
 };
 
-/// Inverse of shardName(); nullopt for anything malformed (wrong prefix,
-/// non-numeric fields, index >= total, total == 0).
-[[nodiscard]] std::optional<ParsedShardName> parseShardName(const std::string& name);
+/// "location.ring.<token>" or "location.space.<token>".
+[[nodiscard]] std::string memberName(Partitioning kind, const std::string& token);
 
-/// The owning shard for an object: FNV-1a over the id bytes, finished with
-/// the splitmix64 mix (the same finalizer the RpcServer lane selector uses
-/// for connection keys), modulo the shard count. Deterministic across
-/// processes and platforms — a router restart routes every object exactly
-/// where its readings already live.
-[[nodiscard]] std::size_t shardForObject(const util::MobileObjectId& object, std::size_t total);
+/// Inverse of memberName() for one kind; nullopt for other names (wrong
+/// prefix, empty token, or a ".backup" standby announcement — standbys are
+/// not members until they promote).
+[[nodiscard]] std::optional<std::string> parseMemberName(Partitioning kind,
+                                                         const std::string& name);
 
-/// A resolved cluster topology: `endpoints[i]` is shard i's announced
-/// endpoint, nullopt while unannounced (never started, crashed and expired
-/// from the registry, ...).
-struct ShardMap {
-  std::size_t total = 0;
+/// Announced members of one kind resolved from a live registry: tokens
+/// sorted, endpoints parallel (nullopt when the entry expired between list
+/// and lookup).
+struct MemberMap {
+  std::vector<std::string> tokens;
   std::vector<std::optional<core::Endpoint>> endpoints;
 
-  [[nodiscard]] std::size_t announcedCount() const noexcept;
-  [[nodiscard]] bool complete() const noexcept { return announcedCount() == total; }
+  /// The endpoint announced for `token`; nullopt when unlisted or expired.
+  [[nodiscard]] std::optional<core::Endpoint> endpointOf(const std::string& token) const;
 };
 
-/// Resolves the shard map from a live registry: lists every
-/// "location.shard.*" entry, checks that all announcements agree on the
-/// total, and looks each one up. Throws util::ContractError on inconsistent
-/// totals (two clusters sharing one registry is a deployment error) and
-/// returns an empty map (total 0) when no shard is announced.
-[[nodiscard]] ShardMap resolveShardMap(core::RegistryClient& registry);
+[[nodiscard]] MemberMap resolveMembers(core::RegistryClient& registry, Partitioning kind);
+
+/// A client for a member's service: over its shared-memory lane when one is
+/// announced and reachable (the name only resolves on the member's own
+/// host), else TCP. Every call carries `callTimeout`. Throws
+/// util::TransportError when neither connects.
+[[nodiscard]] std::shared_ptr<core::RemoteLocationClient> connectMember(
+    const core::Endpoint& endpoint, util::Duration callTimeout);
 
 /// FNV-1a over the bytes, finished with the splitmix64 mix — the key and
 /// ring-point hash. Exposed so tests can predict placement.
@@ -82,17 +80,6 @@ struct ShardMap {
 
 /// An object's position on the 64-bit ring (mixHash64 of its id).
 [[nodiscard]] std::uint64_t objectRingKey(const util::MobileObjectId& object);
-
-/// Registry-name prefix for consistent-hash ring members.
-inline constexpr const char* kRingNamePrefix = "location.ring.";
-
-/// "location.ring.<token>".
-[[nodiscard]] std::string ringMemberName(const std::string& token);
-
-/// Inverse of ringMemberName(); nullopt for other names (wrong prefix,
-/// empty token, or a ".backup" standby announcement — standbys are not
-/// ring members until they promote).
-[[nodiscard]] std::optional<std::string> parseRingMemberName(const std::string& name);
 
 /// Half-open arc (lo, hi] on the 64-bit circle, wrapping through zero when
 /// lo >= hi. lo == hi means the full circle (a single-point ring).
@@ -107,6 +94,12 @@ struct RingArc {
   }
   friend bool operator==(const RingArc&, const RingArc&) = default;
 };
+
+/// Does any of `arcs` contain `key`?
+[[nodiscard]] inline bool arcsContain(std::span<const RingArc> arcs, std::uint64_t key) {
+  return std::any_of(arcs.begin(), arcs.end(),
+                     [key](const RingArc& arc) { return arc.contains(key); });
+}
 
 /// Consistent-hash ring: `vnodes` points per member token, each key owned
 /// by the member of the first point at or after it (wrapping). Deterministic
@@ -156,15 +149,5 @@ class HashRing {
   std::vector<Point> points_;         ///< sorted by pos
   std::size_t vnodes_ = kDefaultVnodes;
 };
-
-/// Announced ring members resolved from a live registry: tokens sorted,
-/// endpoints parallel (nullopt when the entry expired between list and
-/// lookup).
-struct RingMemberMap {
-  std::vector<std::string> tokens;
-  std::vector<std::optional<core::Endpoint>> endpoints;
-};
-
-[[nodiscard]] RingMemberMap resolveRingMembers(core::RegistryClient& registry);
 
 }  // namespace mw::cluster

@@ -1,7 +1,6 @@
 #include "cluster/territory_map.hpp"
 
 #include <algorithm>
-#include <string_view>
 #include <utility>
 
 #include "util/error.hpp"
@@ -252,25 +251,6 @@ TerritoryMap TerritoryMap::decode(const util::Bytes& bytes) {
     map.leaves_.push_back(std::move(leaf));
   }
   return map;
-}
-
-std::string spaceMemberName(const std::string& token) {
-  mw::util::require(!token.empty(), "spaceMemberName: empty token");
-  return kSpaceNamePrefix + token;
-}
-
-std::optional<std::string> parseSpaceMemberName(const std::string& name) {
-  const std::string_view prefix = kSpaceNamePrefix;
-  if (name.rfind(prefix, 0) != 0) return std::nullopt;
-  std::string token = name.substr(prefix.size());
-  if (token.empty()) return std::nullopt;
-  // "location.space.<token>.backup" is a standby announcement, not a member.
-  const std::string_view backup = ".backup";
-  if (token.size() >= backup.size() &&
-      std::string_view(token).substr(token.size() - backup.size()) == backup) {
-    return std::nullopt;
-  }
-  return token;
 }
 
 }  // namespace mw::cluster

@@ -1,7 +1,7 @@
 // Spatial partitioning of the lattice's MBR space among cluster members.
 //
-// The object-hash partitionings (modulo, ring) spread objects evenly but
-// scatter every region query across all shards. A TerritoryMap instead
+// The object-hash ring (shard_map.hpp) spreads objects evenly but scatters
+// every region query across all shards. A TerritoryMap instead
 // carves the universe rectangle into kd-split leaves, each owned by one
 // member: a region query touches only the owners whose leaves intersect it,
 // and a reading is ingested by the owner of its evidence box — the
@@ -123,16 +123,5 @@ class TerritoryMap {
 
 /// Registry metadata key the current territory map is published under.
 inline constexpr const char* kTerritoryMetaName = "location.territory";
-
-/// Registry-name prefix for spatial-partitioning members (parallel to the
-/// ring's "location.ring.<token>": membership IS the registry listing).
-inline constexpr const char* kSpaceNamePrefix = "location.space.";
-
-/// "location.space.<token>".
-[[nodiscard]] std::string spaceMemberName(const std::string& token);
-
-/// Inverse of spaceMemberName(); nullopt for other names (wrong prefix,
-/// empty token, ".backup" standby announcements).
-[[nodiscard]] std::optional<std::string> parseSpaceMemberName(const std::string& name);
 
 }  // namespace mw::cluster

@@ -141,10 +141,11 @@ void LocationService::ingestBatch(std::span<const db::SensorReading> readings) {
     readings = kept;
     if (readings.empty()) return;  // the tap consumed the whole batch
   }
-  ingestedReadings_.fetch_add(readings.size(), std::memory_order_relaxed);
   const std::size_t shardCount = std::min<std::size_t>(shards_, readings.size());
   if (shardCount <= 1) {
     for (const auto& reading : readings) ingestOne(reading);
+    // Counted once applied, as in ingest(): the counter is a drain marker.
+    ingestedReadings_.fetch_add(readings.size(), std::memory_order_relaxed);
     return;
   }
   // Shard by object so each object's readings keep their relative order —
@@ -181,6 +182,7 @@ void LocationService::ingestBatch(std::span<const db::SensorReading> readings) {
   util::WorkerPool& pool = *pool_;
   poolLock.unlock();
   pool.run(std::move(jobs));
+  ingestedReadings_.fetch_add(readings.size(), std::memory_order_relaxed);
 }
 
 void LocationService::importBatch(std::span<const db::SensorReading> readings) {

@@ -143,7 +143,7 @@ class RemoteLocationClient {
 
   /// The underlying connection — escape hatch for sideband methods hosts
   /// register on the same server next to the service (e.g. the cluster's
-  /// handoff.* / territory.* protocols).
+  /// migrate.* protocol).
   [[nodiscard]] const std::shared_ptr<orb::RpcClient>& rpc() const noexcept { return rpc_; }
 
  private:

@@ -1,8 +1,8 @@
 // Spatial-partitioning cluster tests: the kd-split TerritoryMap, the
 // region-targeted router (Partitioning::Spatial) and its dynamic load
 // balancer. The load-bearing property is oracle equivalence — the spatial
-// cluster answers byte-for-byte like an object-hash (modulo) cluster fed
-// the same readings, including across boundary crossings and live territory
+// cluster answers byte-for-byte like the single-process service fed the
+// same readings, including across boundary crossings and live territory
 // migration — plus the perf contract: region queries touch only the shards
 // whose territory intersects the region. Suite names ClusterSpatial* are
 // matched by the sanitizer regexes (they contain "Cluster").
@@ -219,20 +219,21 @@ TEST(ClusterSpatialMapTest, OwnersIntersectingReturnsOnlyTouchedOwners) {
 }
 
 TEST(ClusterSpatialMapTest, SpaceMemberNameRoundTrip) {
-  EXPECT_EQ(spaceMemberName("east"), "location.space.east");
-  EXPECT_EQ(parseSpaceMemberName("location.space.east"), std::optional<std::string>("east"));
-  EXPECT_EQ(parseSpaceMemberName("location.space."), std::nullopt);
-  EXPECT_EQ(parseSpaceMemberName("location.ring.east"), std::nullopt);
-  EXPECT_EQ(parseSpaceMemberName("location.space.east.backup"), std::nullopt)
+  EXPECT_EQ(memberName(Partitioning::Spatial, "east"), "location.space.east");
+  EXPECT_EQ(parseMemberName(Partitioning::Spatial, "location.space.east"),
+            std::optional<std::string>("east"));
+  EXPECT_EQ(parseMemberName(Partitioning::Spatial, "location.space."), std::nullopt);
+  EXPECT_EQ(parseMemberName(Partitioning::Spatial, "location.ring.east"), std::nullopt);
+  EXPECT_EQ(parseMemberName(Partitioning::Spatial, "location.space.east.backup"), std::nullopt)
       << "standby announcements are not members";
 }
 
 // --- cluster fixture ------------------------------------------------------------
 
-/// Two clusters behind ONE registry: the spatial cluster under test
-/// ("location.space.<token>") and a same-width modulo cluster
-/// ("location.shard.<i>/<N>") serving as the object-hash oracle. Both are
-/// fed identical readings; every answer must match byte-for-byte.
+/// The spatial cluster under test ("location.space.<token>") next to the
+/// single-process oracle, reached through an in-process client (the same
+/// marshalling path the router uses). Both are fed identical readings; every
+/// answer must match byte-for-byte.
 class ClusterSpatialTest : public ::testing::Test {
  protected:
   void startClusters(const std::vector<std::string>& tokens) {
@@ -244,24 +245,15 @@ class ClusterSpatialTest : public ::testing::Test {
       opts.heartbeatPeriod = util::msec(100);
       spaceHosts_[token] = startHost(opts);
     }
-    for (std::size_t i = 0; i < tokens.size(); ++i) {
-      ShardHost::Options opts;
-      opts.index = i;
-      opts.total = tokens.size();
-      opts.announceTtl = util::sec(5);
-      opts.heartbeatPeriod = util::msec(100);
-      oracleHosts_.push_back(startHost(opts));
-    }
     ClusterLocationService::Options spatialOpts;
     spatialOpts.retry = fastRetry();
     spatialOpts.partitioning = ClusterLocationService::Partitioning::Spatial;
     spatialOpts.universe = universe();
     router_ = std::make_unique<ClusterLocationService>("127.0.0.1", registry_->port(),
                                                        spatialOpts);
-    ClusterLocationService::Options oracleOpts;
-    oracleOpts.retry = fastRetry();
-    oracle_ = std::make_unique<ClusterLocationService>("127.0.0.1", registry_->port(),
-                                                      oracleOpts);
+    oracleCore_ = std::make_unique<core::Middlewhere>(clock_, universe(), "SC");
+    configureWorld(*oracleCore_);
+    oracle_ = oracleCore_->connectLocal();
   }
 
   std::unique_ptr<ShardHost> startHost(ShardHost::Options opts) {
@@ -272,7 +264,7 @@ class ClusterSpatialTest : public ::testing::Test {
     return host;
   }
 
-  /// Feeds the same reading to the spatial cluster and the modulo oracle.
+  /// Feeds the same reading to the spatial cluster and the oracle.
   void ingestBoth(const db::SensorReading& reading) {
     router_->ingest(reading);
     oracle_->ingest(reading);
@@ -288,7 +280,7 @@ class ClusterSpatialTest : public ::testing::Test {
       ASSERT_TRUE(fromSpatial.has_value()) << context << ": " << name;
       ASSERT_TRUE(fromOracle.has_value()) << context << ": " << name;
       EXPECT_EQ(estimateBytes(*fromSpatial), estimateBytes(*fromOracle))
-          << context << ": " << name << " must be byte-identical to the object-hash oracle";
+          << context << ": " << name << " must be byte-identical to the oracle";
       EXPECT_EQ(router_->locateSymbolic(object), oracle_->locateSymbolic(object))
           << context << ": " << name;
     }
@@ -309,14 +301,14 @@ class ClusterSpatialTest : public ::testing::Test {
   VirtualClock clock_;
   std::unique_ptr<core::RegistryServer> registry_;
   std::map<std::string, std::unique_ptr<ShardHost>> spaceHosts_;
-  std::vector<std::unique_ptr<ShardHost>> oracleHosts_;
-  std::unique_ptr<ClusterLocationService> router_;   ///< spatial, under test
-  std::unique_ptr<ClusterLocationService> oracle_;   ///< modulo object-hash oracle
+  std::unique_ptr<ClusterLocationService> router_;  ///< spatial, under test
+  std::unique_ptr<core::Middlewhere> oracleCore_;   ///< single-process oracle
+  std::unique_ptr<core::RemoteLocationClient> oracle_;
 };
 
 // --- oracle equivalence ---------------------------------------------------------
 
-TEST_F(ClusterSpatialTest, SpatialAnswersMatchObjectHashOracleByteForByte) {
+TEST_F(ClusterSpatialTest, SpatialAnswersMatchSingleProcessOracleByteForByte) {
   startClusters({"a", "b", "c", "d"});
   ASSERT_EQ(router_->shardCount(), 4u);
 
@@ -368,8 +360,8 @@ TEST_F(ClusterSpatialTest, SpatialAnswersMatchObjectHashOracleByteForByte) {
   }
 
   // Region population: identical member lists in identical order, both for
-  // a thresholded query (targeted in spatial mode) and for a census
-  // (minProbability 0 scatters everywhere in both modes).
+  // a thresholded query (targeted) and for a census (minProbability 0
+  // scatters everywhere).
   for (const geo::Rect& region : {room, corridor, universe()}) {
     EXPECT_EQ(router_->objectsInRegion(region, 0.5), oracle_->objectsInRegion(region, 0.5));
     EXPECT_EQ(router_->objectsInRegion(region, 0.0), oracle_->objectsInRegion(region, 0.0));
@@ -503,7 +495,7 @@ TEST_F(ClusterSpatialTest, BoundaryCrossingMigratesTheObjectUnderLiveIngest) {
   EXPECT_EQ(residentTokens(mover), (std::vector<std::string>{toOwner}));
 
   // Exactness across the board: mover, statics and live objects all answer
-  // byte-identically to the object-hash oracle.
+  // byte-identically to the oracle.
   std::vector<std::string> all = statics;
   all.push_back(mover);
   for (int k = 0; k < kLiveObjects; ++k) all.push_back("live-" + std::to_string(k));
@@ -629,14 +621,15 @@ TEST_F(ClusterSpatialTest, RebalanceSplitsHotLeafAndMigratesUnderLoad) {
   EXPECT_GT(movedCount, 0u) << "the split should actually move some residents";
 
   // Exactness under and after migration: every object, moved or kept,
-  // answers byte-identically to the object-hash oracle.
+  // answers byte-identically to the oracle.
   std::vector<std::string> all = objects;
   for (int k = 0; k < 4; ++k) all.push_back("live-" + std::to_string(k));
   expectOracleEquivalence(all, "post-rebalance");
   EXPECT_EQ(router_->stats().droppedIngestReadings, 0u);
 
   // The spilled subscription is live on the gainer: a fresh object walking
-  // into the moved half fires the trigger on BOTH clusters identically.
+  // into the moved half fires the trigger on the cluster and the oracle
+  // identically.
   clock_.advance(util::msec(50));
   ingestBoth(makeReading(clock_.now(), subRegion.center(), "visitor"));
   auto sorted = [](std::vector<std::pair<std::string, double>> v) {
@@ -653,6 +646,41 @@ TEST_F(ClusterSpatialTest, RebalanceSplitsHotLeafAndMigratesUnderLoad) {
     EXPECT_EQ(sorted(spatialCopy), sorted(oracleCopy))
         << "the subscription must have spilled onto the gainer with its territory";
   }
+}
+
+TEST_F(ClusterSpatialTest, BoundaryCrossingMigratesBackAndForthOnBoundedResources) {
+  // One object shuttling across a 2-shard border: every crossing is a
+  // migration, but the losing side's sessions towards one gainer share one
+  // connection, and a session whose last object migrates back is retired.
+  startClusters({"a", "b"});
+  const TerritoryMap map = router_->territorySnapshot();
+  const geo::Point2 west = map.leavesOf("a").front().rect.center();
+  const geo::Point2 east = map.leavesOf("b").front().rect.center();
+  // A resident on each side first, so the router already holds its
+  // connection to both shards when the baseline is taken.
+  ingestBoth(makeReading(clock_.now(), west, "west-resident"));
+  ingestBoth(makeReading(clock_.now(), east, "east-resident"));
+  ingestBoth(makeReading(clock_.now(), west, "shuttle"));
+  std::map<std::string, std::size_t> baseline;
+  for (const auto& [token, host] : spaceHosts_) {
+    baseline[token] = host->core().rpcServer().connectionCount();
+  }
+
+  constexpr int kCrossings = 40;
+  for (int crossing = 1; crossing <= kCrossings; ++crossing) {
+    clock_.advance(util::msec(20));
+    ingestBoth(makeReading(clock_.now(), crossing % 2 == 1 ? east : west, "shuttle"));
+    for (const auto& [token, host] : spaceHosts_) {
+      EXPECT_LE(host->migrationSessions(), 1u) << token << " after crossing " << crossing;
+    }
+  }
+  EXPECT_EQ(router_->stats().objectMigrations, static_cast<std::uint64_t>(kCrossings));
+  for (const auto& [token, host] : spaceHosts_) {
+    EXPECT_LE(host->core().rpcServer().connectionCount(), baseline[token] + 1)
+        << token << ": one pooled migration connection, not one per crossing";
+  }
+  EXPECT_EQ(residentTokens("shuttle"), (std::vector<std::string>{"a"}));
+  expectOracleEquivalence({"shuttle", "west-resident", "east-resident"}, "after the shuttle");
 }
 
 TEST_F(ClusterSpatialTest, BalancerDaemonSplitsInTheBackgroundAndStopsCleanly) {
@@ -704,7 +732,7 @@ TEST_F(ClusterSpatialTest, BalancerDaemonSplitsInTheBackgroundAndStopsCleanly) {
   router_->stopBalancer();  // idempotent
 
   // The daemon's split behaves exactly like a manual one: answers still
-  // match the object-hash oracle byte-for-byte.
+  // match the oracle byte-for-byte.
   std::vector<std::string> all;
   for (int i = 0; i < 24; ++i) all.push_back("hot-" + std::to_string(i));
   expectOracleEquivalence(all, "post-daemon-rebalance");

@@ -5,6 +5,7 @@
 // when a shard dies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -21,6 +22,7 @@
 #include "core/codec.hpp"
 #include "core/middlewhere.hpp"
 #include "core/remote_registry.hpp"
+#include "orb/tcp.hpp"
 #include "util/error.hpp"
 
 namespace mw::cluster {
@@ -84,91 +86,78 @@ util::Bytes estimateBytes(const fusion::LocationEstimate& est) {
   return w.bytes();
 }
 
-// --- shard map unit tests -------------------------------------------------------
+// --- member names and registry resolution ---------------------------------------
 
-TEST(ShardMapTest, ShardNameRoundTrip) {
-  EXPECT_EQ(shardName(0, 1), "location.shard.0/1");
-  EXPECT_EQ(shardName(3, 8), "location.shard.3/8");
-  auto parsed = parseShardName("location.shard.3/8");
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->index, 3u);
-  EXPECT_EQ(parsed->total, 8u);
-  for (std::size_t total : {1u, 2u, 5u}) {
-    for (std::size_t i = 0; i < total; ++i) {
-      auto back = parseShardName(shardName(i, total));
-      ASSERT_TRUE(back.has_value());
-      EXPECT_EQ(back->index, i);
-      EXPECT_EQ(back->total, total);
-    }
+TEST(MemberMapTest, ParseRejectsMalformedNames) {
+  for (const Partitioning kind : {Partitioning::Ring, Partitioning::Spatial}) {
+    EXPECT_EQ(parseMemberName(kind, ""), std::nullopt);
+    EXPECT_EQ(parseMemberName(kind, "LocationService"), std::nullopt);
+    EXPECT_EQ(parseMemberName(kind, "location."), std::nullopt);
+    EXPECT_EQ(parseMemberName(kind, "location.ring"), std::nullopt) << "no separator";
+    EXPECT_EQ(parseMemberName(kind, "location.space"), std::nullopt) << "no separator";
+    EXPECT_EQ(parseMemberName(kind, "location.ringalpha"), std::nullopt);
+    EXPECT_EQ(parseMemberName(kind, "location.spacealpha"), std::nullopt);
+    EXPECT_EQ(parseMemberName(kind, "xlocation.ring.alpha"), std::nullopt) << "prefix only";
+    EXPECT_EQ(parseMemberName(kind, "xlocation.space.alpha"), std::nullopt) << "prefix only";
+    EXPECT_EQ(parseMemberName(kind, "location.shard.0/2"), std::nullopt);
+    EXPECT_EQ(parseMemberName(kind, memberName(kind, "a") + ".backup"), std::nullopt);
   }
+  EXPECT_THROW((void)memberName(Partitioning::Ring, ""), util::ContractError);
+  EXPECT_THROW((void)memberName(Partitioning::Spatial, ""), util::ContractError);
 }
 
-TEST(ShardMapTest, ParseRejectsMalformedNames) {
-  EXPECT_EQ(parseShardName(""), std::nullopt);
-  EXPECT_EQ(parseShardName("LocationService"), std::nullopt);
-  EXPECT_EQ(parseShardName("location.shard."), std::nullopt);
-  EXPECT_EQ(parseShardName("location.shard.1"), std::nullopt) << "no /total";
-  EXPECT_EQ(parseShardName("location.shard./4"), std::nullopt);
-  EXPECT_EQ(parseShardName("location.shard.x/4"), std::nullopt);
-  EXPECT_EQ(parseShardName("location.shard.1/x"), std::nullopt);
-  EXPECT_EQ(parseShardName("location.shard.4/4"), std::nullopt) << "index >= total";
-  EXPECT_EQ(parseShardName("location.shard.0/0"), std::nullopt) << "empty cluster";
-  EXPECT_EQ(parseShardName("location.shard.1/4trailing"), std::nullopt);
-}
-
-TEST(ShardMapTest, ShardForObjectIsDeterministicInRangeAndSpreads) {
-  const std::size_t total = 4;
-  std::set<std::size_t> hit;
-  for (int i = 0; i < 200; ++i) {
-    MobileObjectId object{"user-" + std::to_string(i)};
-    const std::size_t shard = shardForObject(object, total);
-    EXPECT_LT(shard, total);
-    EXPECT_EQ(shard, shardForObject(object, total)) << "same object, same shard";
-    hit.insert(shard);
-  }
-  EXPECT_EQ(hit.size(), total) << "200 objects should land on every shard of 4";
-  EXPECT_EQ(shardForObject(MobileObjectId{"anyone"}, 1), 0u);
-}
-
-TEST(ShardMapTest, ResolveFromRegistry) {
+TEST(MemberMapTest, ResolveFromRegistry) {
   core::RegistryServer registry;
   core::RegistryClient client("127.0.0.1", registry.port());
 
-  auto empty = resolveShardMap(client);
-  EXPECT_EQ(empty.total, 0u);
-  EXPECT_EQ(empty.announcedCount(), 0u);
+  const MemberMap empty = resolveMembers(client, Partitioning::Ring);
+  EXPECT_TRUE(empty.tokens.empty());
+  EXPECT_TRUE(empty.endpoints.empty());
+  EXPECT_EQ(empty.endpointOf("s0"), std::nullopt);
 
-  client.announce(shardName(1, 2), {"127.0.0.1", 7001});
-  auto partial = resolveShardMap(client);
-  EXPECT_EQ(partial.total, 2u);
-  EXPECT_EQ(partial.announcedCount(), 1u);
-  EXPECT_FALSE(partial.complete());
-  EXPECT_EQ(partial.endpoints[0], std::nullopt);
-  ASSERT_TRUE(partial.endpoints[1].has_value());
-  EXPECT_EQ(partial.endpoints[1]->port, 7001);
+  client.announce(memberName(Partitioning::Ring, "s1"), {"127.0.0.1", 7001});
+  client.announce(memberName(Partitioning::Ring, "s0"), {"127.0.0.1", 7000});
+  client.announce(memberName(Partitioning::Ring, "s0") + ".backup", {"127.0.0.1", 7100});
+  client.announce(memberName(Partitioning::Spatial, "east"), {"127.0.0.1", 7200});
+  client.announce("LocationService", {"127.0.0.1", 9999});  // non-member noise
 
-  client.announce(shardName(0, 2), {"127.0.0.1", 7000});
-  client.announce("LocationService", {"127.0.0.1", 9999});  // non-shard noise
-  auto full = resolveShardMap(client);
-  EXPECT_TRUE(full.complete());
-  EXPECT_EQ(full.endpoints[0]->port, 7000);
+  const MemberMap ring = resolveMembers(client, Partitioning::Ring);
+  ASSERT_EQ(ring.tokens, (std::vector<std::string>{"s0", "s1"})) << "sorted, standby excluded";
+  ASSERT_EQ(ring.endpoints.size(), 2u);
+  ASSERT_TRUE(ring.endpoints[0].has_value());
+  EXPECT_EQ(ring.endpoints[0]->port, 7000);
+  ASSERT_TRUE(ring.endpoints[1].has_value());
+  EXPECT_EQ(ring.endpoints[1]->port, 7001);
+  ASSERT_TRUE(ring.endpointOf("s1").has_value());
+  EXPECT_EQ(ring.endpointOf("s1")->port, 7001);
+  EXPECT_EQ(ring.endpointOf("east"), std::nullopt) << "another kind's member";
+  EXPECT_EQ(ring.endpointOf("s2"), std::nullopt);
 
-  // Two clusters of different widths in one registry is a deployment error.
-  client.announce(shardName(2, 3), {"127.0.0.1", 7002});
-  EXPECT_THROW(resolveShardMap(client), util::ContractError);
+  const MemberMap space = resolveMembers(client, Partitioning::Spatial);
+  ASSERT_EQ(space.tokens, (std::vector<std::string>{"east"}));
+  ASSERT_TRUE(space.endpointOf("east").has_value());
+  EXPECT_EQ(space.endpointOf("east")->port, 7200);
+
+  // A withdrawn member leaves the map.
+  ASSERT_TRUE(client.withdraw(memberName(Partitioning::Ring, "s0")));
+  const MemberMap after = resolveMembers(client, Partitioning::Ring);
+  EXPECT_EQ(after.tokens, (std::vector<std::string>{"s1"}));
+  ASSERT_TRUE(after.endpointOf("s1").has_value());
+  EXPECT_EQ(after.endpointOf("s1")->port, 7001);
 }
 
 // --- consistent-hash ring unit tests --------------------------------------------
 
 TEST(HashRingTest, RingMemberNamesRoundTripAndExcludeStandbys) {
-  EXPECT_EQ(ringMemberName("alpha"), "location.ring.alpha");
-  EXPECT_EQ(parseRingMemberName("location.ring.alpha"), "alpha");
-  EXPECT_EQ(parseRingMemberName("location.ring."), std::nullopt);
-  EXPECT_EQ(parseRingMemberName("location.shard.0/1"), std::nullopt);
-  EXPECT_EQ(parseRingMemberName("LocationService"), std::nullopt);
-  EXPECT_EQ(parseRingMemberName("location.ring.alpha.backup"), std::nullopt)
+  EXPECT_EQ(memberName(Partitioning::Ring, "alpha"), "location.ring.alpha");
+  EXPECT_EQ(parseMemberName(Partitioning::Ring, "location.ring.alpha"), "alpha");
+  EXPECT_EQ(parseMemberName(Partitioning::Ring, "location.ring."), std::nullopt);
+  EXPECT_EQ(parseMemberName(Partitioning::Ring, "location.space.alpha"), std::nullopt)
+      << "a spatial member is not a ring member";
+  EXPECT_EQ(parseMemberName(Partitioning::Ring, "LocationService"), std::nullopt);
+  EXPECT_EQ(parseMemberName(Partitioning::Ring, "location.ring.alpha.backup"), std::nullopt)
       << "a standby announcement is not a ring member";
-  EXPECT_EQ(parseRingMemberName("location.ring..backup"), std::nullopt);
+  EXPECT_EQ(parseMemberName(Partitioning::Ring, "location.ring..backup"), std::nullopt);
 }
 
 TEST(HashRingTest, ArcContainsIsHalfOpenAndWraps) {
@@ -263,12 +252,15 @@ TEST(HashRingTest, ClaimsForMovesOnlyTheJoinersArcs) {
 
 // --- cluster fixture ------------------------------------------------------------
 
+/// A fixed-membership ring of shards "s0".."s<n-1>" (router slot i is
+/// hosts_[i]: slots follow the sorted tokens) next to the single-process
+/// oracle.
 class ClusterTest : public ::testing::Test {
  protected:
   void startCluster(std::size_t n) {
     registry_ = std::make_unique<core::RegistryServer>();
     for (std::size_t i = 0; i < n; ++i) {
-      hosts_.push_back(startShard(i, n));
+      hosts_.push_back(startShard(i));
     }
     ClusterLocationService::Options opts;
     opts.retry = fastRetry();
@@ -278,11 +270,10 @@ class ClusterTest : public ::testing::Test {
     oracleClient_ = oracle_->connectLocal();
   }
 
-  std::unique_ptr<ShardHost> startShard(std::size_t index, std::size_t total,
-                                        std::uint16_t registryPort = 0, bool enableShm = true) {
+  std::unique_ptr<ShardHost> startShard(std::size_t index, std::uint16_t registryPort = 0,
+                                        bool enableShm = true) {
     ShardHost::Options opts;
-    opts.index = index;
-    opts.total = total;
+    opts.ringToken = "s" + std::to_string(index);
     opts.announceTtl = util::sec(5);
     opts.heartbeatPeriod = util::msec(100);
     opts.enableShm = enableShm;
@@ -314,7 +305,7 @@ class ClusterTest : public ::testing::Test {
   std::string objectOwnedBy(std::size_t shard) const {
     for (int i = 0; i < 1000; ++i) {
       std::string name = "obj-" + std::to_string(i);
-      if (shardForObject(MobileObjectId{name}, router_->shardCount()) == shard) return name;
+      if (router_->shardFor(MobileObjectId{name}) == shard) return name;
     }
     ADD_FAILURE() << "no object found for shard " << shard;
     return "obj-0";
@@ -377,7 +368,7 @@ TEST_F(ClusterTest, ShmAndTcpLanesAnswerByteIdentically) {
   auto tcpRegistry = std::make_unique<core::RegistryServer>();
   std::vector<std::unique_ptr<ShardHost>> tcpHosts;
   for (std::size_t i = 0; i < 2; ++i) {
-    tcpHosts.push_back(startShard(i, 2, tcpRegistry->port(), /*enableShm=*/false));
+    tcpHosts.push_back(startShard(i, tcpRegistry->port(), /*enableShm=*/false));
     EXPECT_TRUE(tcpHosts.back()->shmName().empty());
   }
   ClusterLocationService::Options opts;
@@ -523,8 +514,8 @@ TEST_F(ClusterTest, RestartedShardIsReadmittedByProbe) {
   ASSERT_TRUE(router_->stats().shards[1].down);
 
   // Restart shard 1 on a fresh port; the heartbeat re-announces it.
-  hosts_[1] = startShard(1, 2);
-  router_->refreshShardMap();
+  hosts_[1] = startShard(1);
+  router_->refreshMembers();
 
   // Probe until the health machine re-admits it (probeInterval is 30ms).
   for (int i = 0; i < 200 && router_->stats().shards[1].down; ++i) {
@@ -600,8 +591,8 @@ TEST_F(ClusterTest, SubscriptionReplaysOntoRestartedShard) {
 
   hosts_[1].reset();
   router_->ingest(makeReading(clock_, {5, 5}, object));  // dropped; marks shard down
-  hosts_[1] = startShard(1, 2);
-  router_->refreshShardMap();
+  hosts_[1] = startShard(1);
+  router_->refreshMembers();
   for (int i = 0; i < 200 && router_->stats().shards[1].down; ++i) {
     router_->probeDownShards();
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -622,19 +613,75 @@ TEST_F(ClusterTest, SubscriptionReplaysOntoRestartedShard) {
   EXPECT_EQ(notes.back().object, MobileObjectId{object});
 }
 
+TEST_F(ClusterTest, SubscriptionReachesMemberReturningFromLapse) {
+  // s1 heartbeats too rarely to re-announce on its own during the test, so
+  // the test controls its lapse and its return.
+  registry_ = std::make_unique<core::RegistryServer>();
+  hosts_.push_back(startShard(0));
+  ShardHost::Options lateOpts;
+  lateOpts.ringToken = "s1";
+  lateOpts.announceTtl = util::sec(120);
+  lateOpts.heartbeatPeriod = util::sec(60);
+  hosts_.push_back(startHost(lateOpts));
+  ClusterLocationService::Options opts;
+  opts.retry = fastRetry();
+  router_ = std::make_unique<ClusterLocationService>("127.0.0.1", registry_->port(), opts);
+
+  const std::string object = objectOwnedBy(1);
+  router_->ingest(makeReading(clock_, {30, 30}, object));  // opens the router's connection to s1
+
+  // s1's entry lapses; two refreshes open and close the window, so s1
+  // leaves the scatter set while its connection stays up.
+  core::RegistryClient admin("127.0.0.1", registry_->port());
+  const std::string name = memberName(Partitioning::Ring, "s1");
+  const auto entry = admin.lookupEntry(name);
+  ASSERT_TRUE(entry.has_value());
+  ASSERT_TRUE(admin.withdraw(name));
+  router_->refreshMembers();
+  router_->refreshMembers();
+  ASSERT_FALSE(router_->dualReadWindowOpen());
+  ASSERT_EQ(router_->shardFor(MobileObjectId{object}), 0u);
+
+  // Subscribed while s1 is away: the fan-out reaches s0 only.
+  std::mutex notesMutex;
+  std::vector<core::Notification> notes;
+  const auto region = geo::Rect::fromOrigin({0, 0}, 20, 20);
+  auto id = router_->subscribe(region, std::nullopt, 0.5, [&](const core::Notification& n) {
+    std::lock_guard lock(notesMutex);
+    notes.push_back(n);
+  });
+
+  // s1 returns under the same endpoint; once the window closes its objects
+  // route to it again and must notify under the cluster id.
+  ASSERT_TRUE(admin.announce(name, entry->endpoint, util::sec(60), entry->generation));
+  router_->refreshMembers();
+  router_->refreshMembers();
+  ASSERT_FALSE(router_->dualReadWindowOpen());
+  ASSERT_EQ(router_->shardFor(MobileObjectId{object}), 1u);
+  router_->ingest(makeReading(clock_, {5, 5}, object));
+  for (int i = 0; i < 400; ++i) {
+    std::lock_guard lock(notesMutex);
+    if (!notes.empty()) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  std::lock_guard lock(notesMutex);
+  ASSERT_FALSE(notes.empty()) << "the returned member missed the subscription";
+  EXPECT_EQ(notes.back().id, id);
+  EXPECT_EQ(notes.back().object, MobileObjectId{object});
+}
+
 // --- replication and failover ---------------------------------------------------
 
 TEST_F(ClusterTest, KillPrimaryPromotesBackupWithoutLosingAcknowledgedReadings) {
   startCluster(2);
   ShardHost::Options backupOpts;
-  backupOpts.index = 1;
-  backupOpts.total = 2;
+  backupOpts.ringToken = "s1";
   backupOpts.role = ShardHost::Role::Backup;
   backupOpts.announceTtl = util::sec(5);
   backupOpts.heartbeatPeriod = util::msec(100);
   auto backup = startHost(backupOpts);
-  EXPECT_EQ(backup->name(), shardName(1, 2) + kBackupSuffix);
-  EXPECT_EQ(backup->primaryName(), shardName(1, 2));
+  EXPECT_EQ(backup->name(), memberName(Partitioning::Ring, "s1") + kBackupSuffix);
+  EXPECT_EQ(backup->primaryName(), memberName(Partitioning::Ring, "s1"));
   ASSERT_EQ(backup->role(), ShardHost::Role::Backup);
 
   // Wait until the primary discovered its backup and the initial sync went
@@ -671,7 +718,7 @@ TEST_F(ClusterTest, KillPrimaryPromotesBackupWithoutLosingAcknowledgedReadings) 
   EXPECT_GE(backup->generation(), 2u);
 
   // Shard 1's name now resolves to the promoted backup; the router re-routes.
-  router_->refreshShardMap();
+  router_->refreshMembers();
   for (int i = 0; i < 200 && router_->stats().shards[1].down; ++i) {
     router_->probeDownShards();
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -705,8 +752,7 @@ TEST_F(ClusterTest, KillPrimaryPromotesBackupWithoutLosingAcknowledgedReadings) 
 TEST_F(ClusterTest, FencedStalePrimaryDoesNotFlapOwnershipBack) {
   startCluster(1);
   ShardHost::Options backupOpts;
-  backupOpts.index = 0;
-  backupOpts.total = 1;
+  backupOpts.ringToken = "s0";
   backupOpts.role = ShardHost::Role::Backup;
   backupOpts.announceTtl = util::sec(5);
   backupOpts.heartbeatPeriod = util::msec(50);
@@ -725,7 +771,7 @@ TEST_F(ClusterTest, FencedStalePrimaryDoesNotFlapOwnershipBack) {
   // heartbeat. The primary keeps re-announcing, so keep withdrawing until
   // the backup's monitor wins the race and promotes.
   core::RegistryClient admin("127.0.0.1", registry_->port());
-  const std::string name = shardName(0, 1);
+  const std::string name = memberName(Partitioning::Ring, "s0");
   for (int i = 0; i < 1000 && backup->role() != ShardHost::Role::Primary; ++i) {
     (void)admin.withdraw(name);
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -836,7 +882,7 @@ TEST_F(ClusterTest, RingJoinMovesOnlyItsArcsUnderLiveIngest) {
   auto gamma = startHost(gammaOpts);
   gamma->joinRing();
 
-  router_->refreshShardMap();
+  router_->refreshMembers();
   EXPECT_TRUE(router_->dualReadWindowOpen()) << "a membership change must open the window";
   EXPECT_EQ(router_->shardCount(), 3u);
 
@@ -852,7 +898,7 @@ TEST_F(ClusterTest, RingJoinMovesOnlyItsArcsUnderLiveIngest) {
   }
 
   gamma->completeJoin();
-  router_->refreshShardMap();
+  router_->refreshMembers();
   EXPECT_FALSE(router_->dualReadWindowOpen()) << "an unchanged refresh closes the window";
 
   // Keep feeding a little with the window closed (moved objects now route
@@ -966,7 +1012,7 @@ TEST_F(ClusterTest, RingPlannedLeaveDrainsUnderLiveIngest) {
   gamma->leaveRing();
   EXPECT_TRUE(gamma->running()) << "the leaver keeps serving stragglers after the drain";
 
-  router_->refreshShardMap();
+  router_->refreshMembers();
   EXPECT_TRUE(router_->dualReadWindowOpen()) << "a departure must open the window";
   // Shard slots are stable (the leaver keeps its slot and endpoint for
   // prev-ring routing while the window is open); membership is what shrank.
@@ -984,7 +1030,7 @@ TEST_F(ClusterTest, RingPlannedLeaveDrainsUnderLiveIngest) {
     EXPECT_EQ(estimateBytes(*fromCluster), estimateBytes(*fromOracle)) << name << " (mid-window)";
   }
 
-  router_->refreshShardMap();
+  router_->refreshMembers();
   EXPECT_FALSE(router_->dualReadWindowOpen()) << "an unchanged refresh closes the window";
 
   // Keep feeding with the window closed (moved arcs now route straight to
@@ -1034,6 +1080,118 @@ TEST_F(ClusterTest, RingPlannedLeaveDrainsUnderLiveIngest) {
           << name << " vs " << token;
     }
   }
+}
+
+TEST_F(ClusterTest, RingJoinMovesOnlyItsArcsIncludingObjectsFirstSeenMidWindow) {
+  // The case arc coverage exists for: an object whose FIRST reading arrives
+  // while the join's dual-read window is open. The router sends it to the
+  // previous owner, whose session must catch it by its ring key — an object
+  // list taken at begin time would not name it, so the reading would be
+  // applied on the loser and stranded there.
+  registry_ = std::make_unique<core::RegistryServer>();
+  for (const char* token : {"alpha", "beta"}) {
+    ShardHost::Options opts;
+    opts.ringToken = token;
+    opts.announceTtl = util::sec(5);
+    opts.heartbeatPeriod = util::msec(100);
+    hosts_.push_back(startHost(opts));
+  }
+  ClusterLocationService::Options routerOpts;
+  routerOpts.retry = fastRetry();
+  router_ = std::make_unique<ClusterLocationService>("127.0.0.1", registry_->port(), routerOpts);
+  oracle_ = std::make_unique<core::Middlewhere>(clock_, universe(), "SC");
+  configureWorld(*oracle_);
+  oracleClient_ = oracle_->connectLocal();
+  ingestBoth(makeReading(clock_, {3, 4}, "resident"));
+
+  ShardHost::Options gammaOpts;
+  gammaOpts.ringToken = "gamma";
+  gammaOpts.deferAnnounce = true;
+  gammaOpts.announceTtl = util::sec(5);
+  gammaOpts.heartbeatPeriod = util::msec(100);
+  auto gamma = startHost(gammaOpts);
+  gamma->joinRing();
+  router_->refreshMembers();
+  ASSERT_TRUE(router_->dualReadWindowOpen());
+
+  // A never-seen object whose key falls in an arc gamma claims.
+  const HashRing after({"alpha", "beta", "gamma"});
+  std::string newcomer;
+  for (int i = 0; i < 1000 && newcomer.empty(); ++i) {
+    const std::string name = "newcomer-" + std::to_string(i);
+    if (after.ownerForObject(MobileObjectId{name}) == "gamma") newcomer = name;
+  }
+  ASSERT_FALSE(newcomer.empty());
+  clock_.advance(util::msec(20));
+  ingestBoth(makeReading(clock_, {6, 7}, newcomer));
+  clock_.advance(util::msec(20));
+  ingestBoth(makeReading(clock_, {6.5, 7}, newcomer));
+
+  gamma->completeJoin();
+  router_->refreshMembers();
+  ASSERT_FALSE(router_->dualReadWindowOpen());
+
+  auto onHost = [&](ShardHost& host) {
+    const auto known = host.core().database().knownMobileObjects();
+    return std::find(known.begin(), known.end(), MobileObjectId{newcomer}) != known.end();
+  };
+  EXPECT_TRUE(onHost(*gamma)) << newcomer << " must live on the joiner";
+  for (const auto& host : hosts_) {
+    EXPECT_FALSE(onHost(*host)) << newcomer << " stranded on " << host->name();
+  }
+  for (const std::string& name : {newcomer, std::string("resident")}) {
+    MobileObjectId object{name};
+    auto fromCluster = router_->locate(object);
+    auto fromOracle = oracleClient_->locate(object);
+    ASSERT_TRUE(fromCluster.has_value()) << name;
+    ASSERT_TRUE(fromOracle.has_value()) << name;
+    EXPECT_EQ(estimateBytes(*fromCluster), estimateBytes(*fromOracle)) << name;
+    EXPECT_EQ(router_->locateSymbolic(object), oracleClient_->locateSymbolic(object)) << name;
+  }
+  EXPECT_EQ(router_->stats().droppedIngestReadings, 0u);
+}
+
+// --- the migrate.* protocol, called directly ----------------------------------
+
+TEST_F(ClusterTest, MigrateRefusesUnknownAndUnflushedSessions) {
+  startCluster(2);
+  const std::string name = objectOwnedBy(0);
+  ingestBoth(makeReading(clock_, {4, 4}, name));
+  ShardHost& loser = *hosts_[0];
+  auto knowsObject = [&] {
+    const auto known = loser.core().database().knownMobileObjects();
+    return std::find(known.begin(), known.end(), MobileObjectId{name}) != known.end();
+  };
+  ASSERT_TRUE(knowsObject());
+  orb::RpcClient rpc(orb::tcpConnect("127.0.0.1", loser.port()));
+
+  // Unknown session ids are refused.
+  EXPECT_FALSE(callMigrateFlush(rpc, 9999));
+  EXPECT_FALSE(callMigrateEnd(rpc, 9999));
+
+  MigrateRequest request;
+  request.gainerToken = "s1";
+  request.gainer = core::Endpoint{"127.0.0.1", hosts_[1]->port(), hosts_[1]->shmName()};
+  request.objects = {MobileObjectId{name}};
+  const MigrateBegun first = callMigrateBegin(rpc, request);
+  EXPECT_EQ(first.affected, request.objects);
+  EXPECT_EQ(loser.migrationSessions(), 1u);
+
+  // End before flush is refused and drops nothing.
+  EXPECT_FALSE(callMigrateEnd(rpc, first.session));
+  EXPECT_TRUE(knowsObject());
+
+  // A begin retried after a failed attempt prunes the stale session: it is
+  // retired from the table, and its id is unknown from then on.
+  const MigrateBegun retry = callMigrateBegin(rpc, request);
+  EXPECT_NE(retry.session, first.session);
+  EXPECT_EQ(loser.migrationSessions(), 1u);
+  EXPECT_FALSE(callMigrateFlush(rpc, first.session));
+
+  // The live session completes normally: flush, then end drops the object.
+  EXPECT_TRUE(callMigrateFlush(rpc, retry.session));
+  EXPECT_TRUE(callMigrateEnd(rpc, retry.session));
+  EXPECT_FALSE(knowsObject());
 }
 
 // --- concurrency (runs under TSan in CI) ----------------------------------------

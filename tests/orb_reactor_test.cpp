@@ -323,13 +323,14 @@ TEST(TransportConcurrencyTest, HandlerInstallReplayPreservesOrder) {
   // serialized and in arrival order across the install.
   auto [a, b] = makeInProcPair();
   std::atomic<bool> stop{false};
+  std::atomic<std::uint32_t> sent{0};
   std::thread sender([&] {
     std::uint32_t n = 0;
     while (!stop.load()) {
       Bytes frame(4);
       for (int i = 0; i < 4; ++i) frame[i] = static_cast<std::uint8_t>(n >> (8 * i));
       a->send(frame);
-      ++n;
+      sent.store(++n);
     }
   });
   // Let frames pile up unhandled, then install mid-stream.
@@ -348,6 +349,7 @@ TEST(TransportConcurrencyTest, HandlerInstallReplayPreservesOrder) {
   sender.join();
   std::lock_guard lock(m);
   ASSERT_FALSE(seen.empty());
+  EXPECT_EQ(seen.size(), sent.load()) << "every frame sent is delivered";
   for (std::size_t i = 0; i < seen.size(); ++i) {
     ASSERT_EQ(seen[i], i) << "frame replayed out of order";
   }
