@@ -27,6 +27,20 @@ std::uint64_t& subSlot(std::vector<std::uint64_t>& ids, std::size_t index) {
   return ids[index];
 }
 
+/// The wait half of a stub call already on the wire: waits for `call` on
+/// `client`'s connection and decodes the reply.
+template <typename R>
+std::function<R(orb::RpcClient::Deadline)> awaitReply(core::RemoteLocationClient& client,
+                                                      orb::RpcClient::Call call,
+                                                      R (*decode)(const util::Bytes&)) {
+  return [&client, call = std::move(call), decode](orb::RpcClient::Deadline deadline) {
+    return decode(client.rpc()->wait(call, deadline));
+  };
+}
+
+/// Decoder for replies that only acknowledge (ingestBatch, ping).
+bool acknowledged(const util::Bytes& /*reply*/) { return true; }
+
 }  // namespace
 
 ClusterLocationService::ClusterLocationService(const std::string& registryHost,
@@ -620,53 +634,96 @@ void ClusterLocationService::clearShardSubscriptions(Shard& shard) {
 }
 
 template <typename R>
-std::optional<R> ClusterLocationService::callShard(
-    Shard& shard, const std::function<R(core::RemoteLocationClient&)>& fn) {
-  if (shard.health.down() && !shard.health.tryClaimProbe()) return std::nullopt;
-  const std::size_t attempts = 1 + options_.retry.maxRetries;
-  for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      shard.health.recordRetry();
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(options_.retry.backoffDelay(attempt - 1).count()));
-    }
-    auto client = clientFor(shard);
-    if (!client) {
-      shard.health.recordFailure(/*timedOut=*/false);
-      if (shard.health.down() && attempt + 1 < attempts && !shard.health.tryClaimProbe()) {
-        return std::nullopt;  // went down mid-budget; stop hammering
-      }
-      continue;
-    }
-    shard.health.recordCall();
+std::vector<std::optional<R>> ClusterLocationService::callShards(const std::vector<Shard*>& targets,
+                                                                 const Attempt<R>& attempt) {
+  std::vector<std::optional<R>> results(targets.size());
+  std::vector<std::size_t> open;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    if (!targets[i]->health.down() || targets[i]->health.tryClaimProbe()) open.push_back(i);
+  }
+  std::exception_ptr callerError;
+  // Runs one half of target i's attempt; false when it failed and may retry.
+  auto settle = [&](std::size_t i, const auto& half) {
     try {
-      R result = fn(*client);
-      shard.health.recordSuccess();
-      return result;
+      half();
+      return true;
     } catch (const util::TimeoutError&) {
       // Slow, not provably dead: keep the connection (a late reply is
       // discarded by the RpcClient), back off, retry.
-      shard.health.recordFailure(/*timedOut=*/true);
+      targets[i]->health.recordFailure(/*timedOut=*/true);
     } catch (const util::TransportError&) {
       // Connection gone: reconnect on the next attempt.
-      shard.health.recordFailure(/*timedOut=*/false);
-      dropClient(shard);
+      targets[i]->health.recordFailure(/*timedOut=*/false);
+      dropClient(*targets[i]);
+    } catch (...) {
+      // An Error reply: the shard is healthy and answered — the error
+      // belongs to the caller, not the failure policy.
+      if (!callerError) callerError = std::current_exception();
+      return true;
     }
-    // util::MwError (an Error reply) propagates: the shard is healthy and
-    // answered — the error belongs to the caller, not the failure policy.
+    return false;
+  };
+  struct Started {
+    std::size_t index;
+    std::shared_ptr<core::RemoteLocationClient> client;  ///< pinned until the reply is in
+    Finish<R> finish;
+  };
+  const std::size_t rounds = 1 + options_.retry.maxRetries;
+  for (std::size_t round = 0; round < rounds && !open.empty(); ++round) {
+    if (round > 0) {
+      for (std::size_t i : open) targets[i]->health.recordRetry();
+      std::this_thread::sleep_for(options_.retry.backoffDelay(round - 1));
+    }
+    std::vector<Started> started;
+    std::vector<std::size_t> failed;
+    for (std::size_t i : open) {
+      ShardHealth& health = targets[i]->health;
+      auto client = clientFor(*targets[i]);
+      if (!client) {
+        health.recordFailure(/*timedOut=*/false);
+        // Went down mid-budget: stop hammering it unless this is its probe.
+        if (!health.down() || round + 1 == rounds || health.tryClaimProbe()) failed.push_back(i);
+        continue;
+      }
+      health.recordCall();
+      if (!settle(i, [&] { started.push_back({i, client, attempt(i, *client)}); })) {
+        failed.push_back(i);
+      }
+    }
+    const Deadline deadline = std::chrono::steady_clock::now() + options_.retry.callDeadline;
+    for (Started& call : started) {
+      const std::size_t i = call.index;
+      if (!settle(i, [&] {
+            results[i] = call.finish(deadline);
+            targets[i]->health.recordSuccess();
+          })) {
+        failed.push_back(i);
+      }
+    }
+    open = std::move(failed);
   }
-  return std::nullopt;
+  if (callerError) std::rethrow_exception(callerError);
+  return results;
+}
+
+template <typename R>
+std::optional<R> ClusterLocationService::callShard(
+    Shard& shard, const std::function<R(core::RemoteLocationClient&)>& fn) {
+  auto results = callShards<R>({&shard}, [&fn](std::size_t, core::RemoteLocationClient& client) {
+    return Finish<R>([&fn, &client](Deadline) { return fn(client); });
+  });
+  return std::move(results.front());
 }
 
 void ClusterLocationService::probeDownShards() {
   auto topo = topology();
+  std::vector<Shard*> down;
   for (const auto& shard : topo->members) {
-    if (!shard->health.down()) continue;
-    callShard<bool>(*shard, [](core::RemoteLocationClient& client) {
-      client.ping();
-      return true;
-    });
+    if (shard->health.down()) down.push_back(shard.get());
   }
+  callShards<bool>(down, [](std::size_t, core::RemoteLocationClient& client) {
+    return awaitReply(client, client.startPing(), acknowledged);
+  });
 }
 
 // --- object-routed calls ------------------------------------------------------
@@ -712,17 +769,22 @@ void ClusterLocationService::ingestBatch(std::span<const db::SensorReading> read
     }
     parts[route.target->index].push_back(reading);
   }
+  std::vector<Shard*> targets;
+  std::vector<std::vector<db::SensorReading>> batches;
   for (std::size_t i = 0; i < parts.size(); ++i) {
     if (parts[i].empty()) continue;
-    Shard& shard = *topo->shards[i];
-    auto ok = callShard<bool>(shard, [&](core::RemoteLocationClient& client) {
-      client.ingestBatch(parts[i]);
-      return true;
-    });
-    if (!ok) {
-      failedRoutedCalls_.fetch_add(1, std::memory_order_relaxed);
-      droppedIngestReadings_.fetch_add(parts[i].size(), std::memory_order_relaxed);
-    }
+    targets.push_back(topo->shards[i].get());
+    batches.push_back(std::move(parts[i]));
+  }
+  // One sub-batch per shard, all in flight at once: each object's readings
+  // sit in one sub-batch, so per-object order holds across the fan-out.
+  auto acks = callShards<bool>(targets, [&](std::size_t i, core::RemoteLocationClient& client) {
+    return awaitReply(client, client.startIngestBatch(batches[i]), acknowledged);
+  });
+  for (std::size_t i = 0; i < acks.size(); ++i) {
+    if (acks[i]) continue;
+    failedRoutedCalls_.fetch_add(1, std::memory_order_relaxed);
+    droppedIngestReadings_.fetch_add(batches[i].size(), std::memory_order_relaxed);
   }
   for (const auto& [object, center] : lastCenter) maybeMigrateAfterIngest(object, center);
 }
@@ -762,31 +824,6 @@ std::string ClusterLocationService::locateSymbolic(const util::MobileObjectId& o
 
 // --- scatter-gather -----------------------------------------------------------
 
-template <typename R>
-std::vector<std::optional<R>> ClusterLocationService::scatter(
-    const std::vector<std::shared_ptr<Shard>>& shards,
-    const std::function<R(core::RemoteLocationClient&)>& fn) {
-  std::vector<std::optional<R>> results(shards.size());
-  std::vector<std::thread> workers;
-  workers.reserve(shards.size());
-  std::mutex errorMutex;
-  std::exception_ptr error;
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    workers.emplace_back([&, i] {
-      try {
-        results[i] = callShard<R>(*shards[i], fn);
-      } catch (...) {
-        // A remote application error (util::MwError) — keep the first.
-        std::lock_guard lock(errorMutex);
-        if (!error) error = std::current_exception();
-      }
-    });
-  }
-  for (auto& worker : workers) worker.join();
-  if (error) std::rethrow_exception(error);
-  return results;
-}
-
 double ClusterLocationService::probabilityInRegion(const util::MobileObjectId& object,
                                                    const geo::Rect& region) {
   auto topo = topology();
@@ -819,9 +856,13 @@ double ClusterLocationService::probabilityInRegion(const util::MobileObjectId& o
     return reply->probability;  // no evidence anywhere: the bare prior
   }
   scatterGathers_.fetch_add(1, std::memory_order_relaxed);
-  auto replies = scatter<core::RemoteLocationClient::RegionProbability>(
-      topo->members, [&](core::RemoteLocationClient& client) {
-        return client.probabilityInRegionEx(object, region);
+  std::vector<Shard*> targets;
+  for (const auto& shard : topo->members) targets.push_back(shard.get());
+  using RegionProbability = core::RemoteLocationClient::RegionProbability;
+  auto replies = callShards<RegionProbability>(
+      targets, [&](std::size_t, core::RemoteLocationClient& client) {
+        return awaitReply(client, client.startProbabilityInRegionEx(object, region),
+                          &core::RemoteLocationClient::decodeProbabilityInRegionEx);
       });
 
   std::size_t answered = 0;
@@ -851,7 +892,7 @@ double ClusterLocationService::probabilityInRegion(const util::MobileObjectId& o
 ClusterLocationService::RegionQueryResult ClusterLocationService::objectsInRegionDetailed(
     const geo::Rect& region, double minProbability) {
   auto topo = topology();
-  std::vector<std::shared_ptr<Shard>> targets;
+  std::vector<Shard*> targets;
   if (options_.partitioning == Partitioning::Spatial && minProbability > 0) {
     // The payoff query: only the shards whose territory intersects the
     // slack-inflated region can home an object with evidence mass inside
@@ -863,19 +904,20 @@ ClusterLocationService::RegionQueryResult ClusterLocationService::objectsInRegio
       std::lock_guard lock(spatialMutex_);
       for (const std::string& owner : territory_.ownersIntersecting(inflated)) {
         auto slot = topo->slotOf.find(owner);
-        if (slot != topo->slotOf.end()) targets.push_back(topo->shards[slot->second]);
+        if (slot != topo->slotOf.end()) targets.push_back(topo->shards[slot->second].get());
       }
     }
     targetedRegionQueries_.fetch_add(1, std::memory_order_relaxed);
     regionShardsQueried_.fetch_add(targets.size(), std::memory_order_relaxed);
     if (targets.empty()) return RegionQueryResult{};  // region outside every territory
   } else {
-    targets = topo->members;
+    for (const auto& shard : topo->members) targets.push_back(shard.get());
     scatterGathers_.fetch_add(1, std::memory_order_relaxed);
   }
-  using Members = std::vector<std::pair<util::MobileObjectId, double>>;
-  auto replies = scatter<Members>(targets, [&](core::RemoteLocationClient& client) {
-    return client.objectsInRegion(region, minProbability);
+  using Members = core::RemoteLocationClient::Members;
+  auto replies = callShards<Members>(targets, [&](std::size_t, core::RemoteLocationClient& client) {
+    return awaitReply(client, client.startObjectsInRegion(region, minProbability),
+                      &core::RemoteLocationClient::decodeObjectsInRegion);
   });
 
   RegionQueryResult result;

@@ -6,22 +6,26 @@
 // go to the object's owner — one object, one shard, one ordering domain
 // (see shard_map.hpp for the end-to-end ordering argument). Region-keyed
 // calls (probabilityInRegion, objectsInRegion) scatter to every live shard
-// in parallel and merge: populations concatenate (objects are disjoint
-// across shards) and re-sort with the service's own comparator, region
-// probabilities prefer the evidence-bearing answer over the bare priors
-// evidence-free shards report. subscribe() fans the trigger out to every
-// member and re-emits each shard's notifications through the caller's single
-// callback under one cluster-wide subscription id.
+// and merge. A scatter creates no threads: every shard's request goes out on
+// its multiplexed connection before the router waits on any reply.
+// Populations concatenate (objects are disjoint across shards) and re-sort
+// with the service's own comparator; region probabilities prefer the
+// evidence-bearing answer over the bare priors evidence-free shards report.
+// subscribe() fans the trigger out to every member and re-emits each shard's
+// notifications through the caller's single callback under one cluster-wide
+// subscription id.
 //
 // Failure model: every call carries a deadline (util::TimeoutError) and a
-// bounded retry budget with exponential backoff (health.hpp). A transport
-// error drops the shard's connection (the next attempt reconnects — and
-// replays the cluster's live subscriptions onto the fresh connection); a
-// shard failing `downAfterFailures` times in a row is marked down and fails
-// fast until a probe re-admits it. Scatter-gather over a cluster with down
-// or failing shards still answers — partially, carrying a `degraded` flag —
-// and routed calls to a down shard return "unknown" instead of blocking.
-// Per-shard error counters surface in stats().
+// bounded retry budget with exponential backoff (health.hpp), spent in
+// rounds: a round waits on all its shards against one deadline and retries
+// only the failures, so stalled shards cost one budget together, not one
+// each. A transport error drops the shard's connection (the next attempt
+// reconnects — and replays the cluster's live subscriptions onto the fresh
+// connection); a shard failing `downAfterFailures` times in a row is marked
+// down and fails fast until a probe re-admits it. Scatter-gather over a
+// cluster with down or failing shards still answers — partially, carrying a
+// `degraded` flag — and routed calls to a down shard return "unknown"
+// instead of blocking. Per-shard error counters surface in stats().
 //
 // Ring mode (Partitioning::Ring, the default): members are resolved from
 // "location.ring.*" announcements and objects are owned by a consistent-hash
@@ -162,7 +166,7 @@ class ClusterLocationService {
   /// spatial mode.
   [[nodiscard]] bool dualReadWindowOpen() const;
 
-  /// Attempts one probe on every down member whose probe timer has lapsed
+  /// Pings every down member whose probe timer has lapsed, all at once
   /// (routed calls also probe lazily; this is for impatient callers).
   void probeDownShards();
 
@@ -174,7 +178,7 @@ class ClusterLocationService {
   void ingest(const db::SensorReading& reading);
 
   /// Splits the batch by owning shard (preserving each object's relative
-  /// order) and ships one sub-batch per shard.
+  /// order) and ships one sub-batch per shard, all in flight at once.
   void ingestBatch(std::span<const db::SensorReading> readings);
 
   /// nullopt when the object is unknown — or when its owning shard is
@@ -402,10 +406,31 @@ class ClusterLocationService {
   void dropClient(Shard& shard);
   void clearShardSubscriptions(Shard& shard);
 
-  /// Runs `fn` against the shard under the retry/backoff/deadline policy.
-  /// Returns nullopt after the budget is exhausted (or immediately for a
-  /// down shard between probes). util::MwError from the remote side (the
-  /// shard answered with an application error) propagates.
+  using Deadline = orb::RpcClient::Deadline;
+  /// The wait half of one started attempt: collects its reply by the
+  /// round's deadline and decodes it.
+  template <typename R>
+  using Finish = std::function<R(Deadline)>;
+  /// Starts target `i`'s attempt on its connected client and returns the
+  /// wait half. A stub call with no start half runs whole inside the
+  /// returned Finish, under the connection's own deadline.
+  template <typename R>
+  using Attempt = std::function<Finish<R>(std::size_t i, core::RemoteLocationClient&)>;
+
+  /// The one attempt loop behind every shard call, run on the caller's
+  /// thread. Each round starts an attempt on every unresolved target, waits
+  /// on all of them against one deadline, backs off once and retries only
+  /// the failures, within the RetryPolicy budget; a down shard is skipped
+  /// between probes. Timeouts keep the connection, transport errors drop
+  /// it; both count against the shard's health. A util::MwError (the shard
+  /// answered with an application error) resolves its target without
+  /// counting, and the first is rethrown at the end. results[i] is nullopt
+  /// where target i's budget ran out.
+  template <typename R>
+  std::vector<std::optional<R>> callShards(const std::vector<Shard*>& targets,
+                                           const Attempt<R>& attempt);
+
+  /// callShards over one shard with a blocking stub call.
   template <typename R>
   std::optional<R> callShard(Shard& shard, const std::function<R(core::RemoteLocationClient&)>& fn);
 
@@ -415,13 +440,6 @@ class ClusterLocationService {
   template <typename R>
   R routedRead(const util::MobileObjectId& object,
                const std::function<R(core::RemoteLocationClient&)>& fn, bool (*found)(const R&));
-
-  /// Runs `fn` against every shard concurrently (one thread per shard);
-  /// results[i] is nullopt where shard i's budget was exhausted.
-  template <typename R>
-  std::vector<std::optional<R>> scatter(
-      const std::vector<std::shared_ptr<Shard>>& shards,
-      const std::function<R(core::RemoteLocationClient&)>& fn);
 
   /// Registers a new cluster subscription and fans it out to every member
   /// that can home a triggering object.

@@ -1,8 +1,8 @@
 #include "core/region_lattice.hpp"
 
 #include <algorithm>
-#include <numeric>
 
+#include "lattice/hasse.hpp"
 #include "util/error.hpp"
 
 namespace mw::core {
@@ -83,44 +83,8 @@ void RegionLattice::refreshEdges() const {
   if (!dirty_.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(refreshMutex_);
   if (!dirty_.load(std::memory_order_relaxed)) return;
-  const std::size_t n = nodes_.size();
-  for (auto& node : nodes_) {
-    node.parents.clear();
-    node.children.clear();
-    node.depth = 0;
-  }
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return nodes_[a].rect.area() > nodes_[b].rect.area();
-  });
-  for (std::size_t ai = 0; ai < n; ++ai) {
-    std::size_t a = order[ai];
-    for (std::size_t bi = ai + 1; bi < n; ++bi) {
-      std::size_t b = order[bi];
-      if (!nodes_[a].rect.contains(nodes_[b].rect) ||
-          geo::approxEqual(nodes_[a].rect, nodes_[b].rect)) {
-        continue;
-      }
-      bool immediate = true;
-      for (std::size_t ci = ai + 1; ci < bi && immediate; ++ci) {
-        std::size_t c = order[ci];
-        if (nodes_[a].rect.contains(nodes_[c].rect) &&
-            nodes_[c].rect.contains(nodes_[b].rect) &&
-            !geo::approxEqual(nodes_[c].rect, nodes_[a].rect) &&
-            !geo::approxEqual(nodes_[c].rect, nodes_[b].rect)) {
-          immediate = false;
-        }
-      }
-      if (immediate) {
-        nodes_[a].children.push_back(b);
-        nodes_[b].parents.push_back(a);
-      }
-    }
-  }
-  // Depths: longest chain from a root, via the area-descending order (every
-  // parent has strictly larger area, so order is topological).
-  for (std::size_t idx : order) {
+  // Depths: longest chain from a root, in area order (parents first).
+  for (std::size_t idx : lattice::buildHasse(nodes_)) {
     std::size_t depth = 0;
     for (std::size_t p : nodes_[idx].parents) depth = std::max(depth, nodes_[p].depth + 1);
     nodes_[idx].depth = depth;

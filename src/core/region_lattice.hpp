@@ -9,8 +9,8 @@
 // only be revealed upto a certain granularity."
 //
 // Nodes are named regions (GLOB string + universe-frame MBR + properties);
-// the order is rectangle containment, maintained as a Hasse diagram exactly
-// like the fusion lattice, but keyed by name.
+// the order is rectangle containment, maintained as a Hasse diagram by the
+// fusion lattice's builder (lattice/hasse.hpp), but keyed by name.
 #pragma once
 
 #include <atomic>

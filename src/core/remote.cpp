@@ -1,5 +1,6 @@
 #include "core/remote.hpp"
 
+#include <chrono>
 #include <string>
 #include <utility>
 
@@ -312,7 +313,16 @@ void RemoteLocationClient::ingestAsync(const db::SensorReading& reading) {
 
 void RemoteLocationClient::ingestBatch(std::span<const db::SensorReading> readings) {
   if (readings.empty()) return;
-  rpc_->call("ingestBatch", encodeReadingBatch(readings));
+  finish(startIngestBatch(readings));
+}
+
+orb::RpcClient::Call RemoteLocationClient::startIngestBatch(
+    std::span<const db::SensorReading> readings) {
+  return rpc_->start("ingestBatch", encodeReadingBatch(readings));
+}
+
+util::Bytes RemoteLocationClient::finish(const orb::RpcClient::Call& call) {
+  return rpc_->wait(call, std::chrono::steady_clock::now() + rpc_->callTimeout());
 }
 
 std::vector<db::SensorReading> RemoteLocationClient::exportReadings(
@@ -362,10 +372,19 @@ double RemoteLocationClient::probabilityInRegion(const util::MobileObjectId& obj
 
 RemoteLocationClient::RegionProbability RemoteLocationClient::probabilityInRegionEx(
     const util::MobileObjectId& object, const geo::Rect& region) {
+  return decodeProbabilityInRegionEx(finish(startProbabilityInRegionEx(object, region)));
+}
+
+orb::RpcClient::Call RemoteLocationClient::startProbabilityInRegionEx(
+    const util::MobileObjectId& object, const geo::Rect& region) {
   ByteWriter w;
   w.str(object.str());
   encodeRect(w, region);
-  Bytes reply = rpc_->call("probabilityInRegionEx", w.take());
+  return rpc_->start("probabilityInRegionEx", w.take());
+}
+
+RemoteLocationClient::RegionProbability RemoteLocationClient::decodeProbabilityInRegionEx(
+    const Bytes& reply) {
   ByteReader r(reply);
   RegionProbability result;
   result.probability = r.f64();
@@ -373,14 +392,22 @@ RemoteLocationClient::RegionProbability RemoteLocationClient::probabilityInRegio
   return result;
 }
 
-std::vector<std::pair<util::MobileObjectId, double>> RemoteLocationClient::objectsInRegion(
-    const geo::Rect& region, double minProbability) {
+RemoteLocationClient::Members RemoteLocationClient::objectsInRegion(const geo::Rect& region,
+                                                                    double minProbability) {
+  return decodeObjectsInRegion(finish(startObjectsInRegion(region, minProbability)));
+}
+
+orb::RpcClient::Call RemoteLocationClient::startObjectsInRegion(const geo::Rect& region,
+                                                                double minProbability) {
   ByteWriter w;
   encodeRect(w, region);
   w.f64(minProbability);
-  Bytes reply = rpc_->call("objectsInRegion", w.take());
+  return rpc_->start("objectsInRegion", w.take());
+}
+
+RemoteLocationClient::Members RemoteLocationClient::decodeObjectsInRegion(const Bytes& reply) {
   ByteReader r(reply);
-  std::vector<std::pair<util::MobileObjectId, double>> members;
+  Members members;
   const std::uint32_t count = r.u32();
   members.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -391,7 +418,9 @@ std::vector<std::pair<util::MobileObjectId, double>> RemoteLocationClient::objec
   return members;
 }
 
-void RemoteLocationClient::ping() { rpc_->call("ping", {}); }
+void RemoteLocationClient::ping() { finish(startPing()); }
+
+orb::RpcClient::Call RemoteLocationClient::startPing() { return rpc_->start("ping", {}); }
 
 void RemoteLocationClient::setCallTimeout(util::Duration timeout) {
   rpc_->setCallTimeout(timeout);

@@ -112,11 +112,25 @@ class RemoteLocationClient {
   /// Region population query (mirrors LocationService::objectsInRegion):
   /// members with fused P(inside) >= minProbability, sorted by descending
   /// probability with ties broken by object id.
-  [[nodiscard]] std::vector<std::pair<util::MobileObjectId, double>> objectsInRegion(
-      const geo::Rect& region, double minProbability);
+  using Members = std::vector<std::pair<util::MobileObjectId, double>>;
+  [[nodiscard]] Members objectsInRegion(const geo::Rect& region, double minProbability);
 
   /// Round-trip liveness check; throws like any call when the peer is gone.
   void ping();
+
+  /// Start halves of the calls above: each puts its request on the wire
+  /// and returns at once, so a caller can have requests to many services in
+  /// flight before waiting on any (rpc()->wait). The decode halves turn the
+  /// reply into the blocking method's result; ingestBatch and ping replies
+  /// carry nothing to decode.
+  [[nodiscard]] orb::RpcClient::Call startIngestBatch(std::span<const db::SensorReading> readings);
+  [[nodiscard]] orb::RpcClient::Call startProbabilityInRegionEx(const util::MobileObjectId& object,
+                                                                const geo::Rect& region);
+  [[nodiscard]] static RegionProbability decodeProbabilityInRegionEx(const util::Bytes& reply);
+  [[nodiscard]] orb::RpcClient::Call startObjectsInRegion(const geo::Rect& region,
+                                                          double minProbability);
+  [[nodiscard]] static Members decodeObjectsInRegion(const util::Bytes& reply);
+  [[nodiscard]] orb::RpcClient::Call startPing();
 
   /// Deadline applied to every blocking call made through this stub
   /// (delegates to the underlying RpcClient).
@@ -147,6 +161,9 @@ class RemoteLocationClient {
   [[nodiscard]] const std::shared_ptr<orb::RpcClient>& rpc() const noexcept { return rpc_; }
 
  private:
+  /// Waits for a started call under the connection's default deadline.
+  util::Bytes finish(const orb::RpcClient::Call& call);
+
   std::shared_ptr<orb::RpcClient> rpc_;
   std::mutex mutex_;
   std::unordered_map<std::uint64_t, std::function<void(const Notification&)>> callbacks_;

@@ -1,8 +1,6 @@
 #include "lattice/rect_lattice.hpp"
 
-#include <algorithm>
-#include <numeric>
-
+#include "lattice/hasse.hpp"
 #include "util/error.hpp"
 
 namespace mw::lattice {
@@ -127,46 +125,18 @@ std::vector<std::size_t> RectLattice::bottomParents() const {
 
 void RectLattice::refreshEdges() const {
   if (!edgesDirty_) return;
-  const std::size_t n = nodes_.size();
-  for (auto& node : nodes_) {
-    node.parents.clear();
-    node.children.clear();
-    node.contributors.clear();
-  }
-
-  // Order by area descending; containment can only go from larger to smaller
-  // (ties broken arbitrarily — equal rects are merged at insert).
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return nodes_[a].rect.area() > nodes_[b].rect.area();
-  });
-
-  // contains[i] = indices j (by position in `order`) with rect_i ⊇ rect_j.
-  for (std::size_t ai = 0; ai < n; ++ai) {
-    std::size_t a = order[ai];
-    for (std::size_t bi = ai + 1; bi < n; ++bi) {
-      std::size_t b = order[bi];
-      if (!nodes_[a].rect.contains(nodes_[b].rect)) continue;
-      // a contains b; it is an immediate cover iff no c with a ⊃ c ⊃ b.
-      bool immediate = true;
-      for (std::size_t ci = ai + 1; ci < bi && immediate; ++ci) {
-        std::size_t c = order[ci];
-        if (c == a || c == b) continue;
-        if (nodes_[a].rect.contains(nodes_[c].rect) && nodes_[c].rect.contains(nodes_[b].rect) &&
-            !geo::approxEqual(nodes_[c].rect, nodes_[b].rect) &&
-            !geo::approxEqual(nodes_[c].rect, nodes_[a].rect)) {
-          immediate = false;
-        }
-      }
-      if (immediate) {
-        nodes_[a].children.push_back(b);
-        nodes_[b].parents.push_back(a);
-      }
-      // Contributor bookkeeping: sources containing b influence b.
-      if (nodes_[a].isSource) nodes_[b].contributors.push_back(a);
+  const std::vector<std::size_t> order = buildHasse(nodes_);
+  // Contributors: the sources whose rects contain a node, larger first, a
+  // source node itself last.
+  for (auto& node : nodes_) node.contributors.clear();
+  for (std::size_t ai = 0; ai < order.size(); ++ai) {
+    const std::size_t a = order[ai];
+    if (!nodes_[a].isSource) continue;
+    for (std::size_t bi = ai + 1; bi < order.size(); ++bi) {
+      const std::size_t b = order[bi];
+      if (nodes_[a].rect.contains(nodes_[b].rect)) nodes_[b].contributors.push_back(a);
     }
-    if (nodes_[a].isSource) nodes_[a].contributors.push_back(a);
+    nodes_[a].contributors.push_back(a);
   }
   edgesDirty_ = false;
 }

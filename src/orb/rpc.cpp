@@ -301,36 +301,48 @@ util::Duration RpcClient::callTimeout() const {
 
 util::Bytes RpcClient::call(const std::string& method, const util::Bytes& args,
                             util::Duration timeout) {
-  std::uint64_t id;
+  Call started = start(method, args);
+  return wait(started, std::chrono::steady_clock::now() + timeout);
+}
+
+RpcClient::Call RpcClient::start(const std::string& method, const util::Bytes& args) {
+  Call call{0, method};
   {
     std::lock_guard lock(mutex_);
-    id = ++nextId_;
-    pending_.emplace(id, Pending{});
+    call.id = ++nextId_;
+    pending_.emplace(call.id, Pending{});
   }
   Message request;
   request.type = MessageType::Request;
-  request.requestId = id;
+  request.requestId = call.id;
   request.target = method;
   request.payload = args;
   try {
     transport_->sendv(request.encodeHeader(), request.payload);
   } catch (const TransportError&) {
     std::lock_guard lock(mutex_);
-    pending_.erase(id);
+    pending_.erase(call.id);
     throw;
   }
+  return call;
+}
 
+util::Bytes RpcClient::wait(const Call& call, Deadline deadline) {
   std::unique_lock lock(mutex_);
-  bool ok = cv_.wait_for(lock, std::chrono::milliseconds(timeout.count()),
-                         [&] { return pending_.at(id).done; });
-  Pending result = std::move(pending_.at(id));
-  pending_.erase(id);
-  if (!ok) throw mw::util::TimeoutError("RpcClient::call: timeout on " + method);
+  bool ok = cv_.wait_until(lock, deadline, [&] { return pending_.at(call.id).done; });
+  Pending result = std::move(pending_.at(call.id));
+  pending_.erase(call.id);
+  if (!ok) throw mw::util::TimeoutError("RpcClient::call: timeout on " + call.method);
   if (result.isError) {
     util::ByteReader r(result.payload);
     throw MwError("RpcClient::call: remote error: " + r.str());
   }
   return result.payload;
+}
+
+std::size_t RpcClient::pendingCalls() const {
+  std::lock_guard lock(mutex_);
+  return pending_.size();
 }
 
 void RpcClient::notify(const std::string& method, const util::Bytes& args) {

@@ -11,11 +11,15 @@
 // reads spread round-robin across every lane. A connection is pinned to one
 // event loop, so its frames reach handleFrame in order and the lane routing
 // (and with it the reading-store stripe invariant) holds end to end.
-// Client side: blocking call() with timeout; event handlers for server-push
-// Event messages (trigger notifications, §4.3).
+// Client side: a request is started — its correlation id registered and its
+// frame sent — and later waited on against a deadline; call() is start
+// followed by wait. Keeping several starts in flight before the first wait
+// is how one thread fans a query out over many connections. Event handlers
+// receive server-push Event messages (trigger notifications, §4.3).
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -138,16 +142,36 @@ class RpcClient {
   RpcClient(const RpcClient&) = delete;
   RpcClient& operator=(const RpcClient&) = delete;
 
-  /// Blocking call; throws util::TimeoutError when the deadline expires with
-  /// no reply, util::TransportError on disconnect, and util::MwError when
-  /// the server replied with an Error message. Without an explicit timeout
-  /// the per-client deadline (setCallTimeout, default 5 s) applies.
-  /// Calls multiplex: any number of threads may call() concurrently over the
-  /// one connection — each request carries a correlation id, the transport
-  /// interleaves frames, and replies resolve whichever caller they answer,
-  /// in whatever order the server's lanes finish.
+  using Deadline = std::chrono::steady_clock::time_point;
+
+  /// A request on the wire whose reply has not been collected yet.
+  struct Call {
+    std::uint64_t id = 0;
+    std::string method;
+  };
+
+  /// Registers a correlation id and sends the request without waiting.
+  /// Throws util::TransportError when the send fails (nothing stays
+  /// registered). Every started call must be passed to wait() once.
+  [[nodiscard]] Call start(const std::string& method, const util::Bytes& args);
+
+  /// Blocks until `call`'s reply arrives or `deadline` passes, then forgets
+  /// the call (a reply arriving later is dropped). Throws
+  /// util::TimeoutError past the deadline and util::MwError when the server
+  /// replied with an Error message.
+  util::Bytes wait(const Call& call, Deadline deadline);
+
+  /// start() then wait(). Without an explicit timeout the per-client
+  /// deadline (setCallTimeout, default 5 s) applies. Calls multiplex: any
+  /// number of threads may call() concurrently over the one connection —
+  /// each request carries a correlation id, the transport interleaves
+  /// frames, and replies resolve whichever caller they answer, in whatever
+  /// order the server's lanes finish.
   util::Bytes call(const std::string& method, const util::Bytes& args);
   util::Bytes call(const std::string& method, const util::Bytes& args, util::Duration timeout);
+
+  /// Calls started and not yet waited out.
+  [[nodiscard]] std::size_t pendingCalls() const;
 
   /// Per-client default deadline used by call() when none is passed. Routers
   /// shrink this so a dead shard costs a bounded wait instead of 5 s.
@@ -180,7 +204,7 @@ class RpcClient {
 
   std::shared_ptr<Transport> transport_;
   std::atomic<util::Duration::rep> callTimeoutMs_{5000};
-  std::mutex mutex_;
+  mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::uint64_t nextId_ = 0;
   std::unordered_map<std::uint64_t, Pending> pending_;

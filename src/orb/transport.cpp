@@ -21,6 +21,10 @@ void Transport::sendv(util::ByteView header, util::ByteView payload) {
 
 namespace {
 
+/// Handler-install replays running on this thread, over all in-process
+/// transports. A thread inside a replay never waits for another replay.
+thread_local int tlsReplays = 0;
+
 /// One endpoint of an in-process pair. Sending locks only the peer's state,
 /// so a handler on side A may send back to side B without self-deadlock.
 class InProcTransport final : public Transport,
@@ -38,13 +42,14 @@ class InProcTransport final : public Transport,
   }
 
   void onReceive(Handler handler) override {
-    // Replay the backlog in order while new deliveries queue behind it
-    // (deliver() appends while replaying_ is set), so handler invocations
-    // stay serialized and in arrival order.
+    // Replay the backlog in order while new deliveries wait for it to end
+    // (see deliver()), so handler invocations stay serialized and in
+    // arrival order, and the replay ends once the backlog is drained.
     std::unique_lock lock(mutex_);
     handler_ = std::move(handler);
     if (replaying_) return;  // an earlier install is already draining
     replaying_ = true;
+    ++tlsReplays;
     inFlight_.push_back(std::this_thread::get_id());
     while (open_ && !pending_.empty() && handler_) {
       util::Bytes frame = std::move(pending_.front());
@@ -55,6 +60,7 @@ class InProcTransport final : public Transport,
       lock.lock();
     }
     replaying_ = false;
+    --tlsReplays;
     eraseInFlightLocked();
     lock.unlock();
     cv_.notify_all();
@@ -89,7 +95,13 @@ class InProcTransport final : public Transport,
   void deliver(util::ByteView frame) {
     Handler handler;
     {
-      std::lock_guard lock(mutex_);
+      std::unique_lock lock(mutex_);
+      // Back-pressure: a sender waits out a handler-install replay instead
+      // of queueing behind it, or a sender faster than the handler would
+      // keep the replay (and the installer) going forever. A thread that is
+      // itself replaying queues instead: its own handler may send back here,
+      // and two crossed replays must not wait on each other.
+      if (tlsReplays == 0) cv_.wait(lock, [&] { return !replaying_ || !open_; });
       if (!open_) return;  // dropped silently, like a closed socket
       if (!handler_ || replaying_) {
         pending_.push_back(frame.toBytes());

@@ -12,6 +12,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -502,6 +503,65 @@ TEST_F(ClusterTest, KillOneShardDegradesButKeepsAnswering) {
   const auto t0 = std::chrono::steady_clock::now();
   EXPECT_EQ(router_->locate(MobileObjectId{onDead}), std::nullopt);
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(500));
+}
+
+TEST_F(ClusterTest, StalledShardsCostOneRetryBudgetNotOnePerShard) {
+  startCluster(3);
+  ClusterLocationService::Options opts;
+  opts.retry = fastRetry();
+  opts.retry.callDeadline = util::msec(200);
+  ClusterLocationService router("127.0.0.1", registry_->port(), opts);
+  const auto region = geo::Rect::fromOrigin({0, 0}, 20, 20);
+  const std::string onLive = objectOwnedBy(0);
+  ingestBoth(makeReading(clock_, {4, 4}, onLive));
+
+  // Shards 1 and 2 stall: each answers only after the call deadline.
+  for (std::size_t i : {1u, 2u}) {
+    hosts_[i]->core().rpcServer().registerMethod("objectsInRegion", [](const util::Bytes&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+      util::ByteWriter w;
+      w.u32(0);
+      return w.take();
+    });
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  auto population = router.objectsInRegionDetailed(region, 0.5);
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_TRUE(population.degraded);
+  EXPECT_EQ(population.shardsAnswered, 1u);
+  ASSERT_EQ(population.members.size(), 1u);
+  EXPECT_EQ(population.members[0].first, MobileObjectId{onLive});
+
+  // Every round waits on both stalled shards at once, so the query costs one
+  // retry budget; waiting on them one after the other would cost two.
+  const auto rounds = static_cast<long>(1 + opts.retry.maxRetries);
+  const auto budget = rounds * (opts.retry.callDeadline + opts.retry.backoffMax);
+  EXPECT_LT(elapsed, budget + std::chrono::milliseconds(200));
+  auto stats = router.stats();
+  EXPECT_EQ(stats.shards[0].timeouts, 0u);
+  EXPECT_EQ(stats.shards[1].timeouts, 1 + opts.retry.maxRetries);
+  EXPECT_EQ(stats.shards[2].timeouts, 1 + opts.retry.maxRetries);
+}
+
+TEST_F(ClusterTest, RemoteErrorFromScatterReachesCallerWithoutFailingShards) {
+  startCluster(3);
+  const auto region = geo::Rect::fromOrigin({0, 0}, 20, 20);
+  hosts_[1]->core().rpcServer().registerMethod("objectsInRegion",
+                                               [](const util::Bytes&) -> util::Bytes {
+                                                 throw std::runtime_error("region index offline");
+                                               });
+  try {
+    (void)router_->objectsInRegionDetailed(region, 0.5);
+    ADD_FAILURE() << "the shard's error must reach the caller";
+  } catch (const util::TransportError& e) {
+    ADD_FAILURE() << "a remote error is not a transport failure: " << e.what();
+  } catch (const util::MwError& e) {
+    EXPECT_NE(std::string(e.what()).find("region index offline"), std::string::npos);
+  }
+  for (const auto& shard : router_->stats().shards) {
+    EXPECT_EQ(shard.failures, 0u);
+    EXPECT_FALSE(shard.down);
+  }
 }
 
 TEST_F(ClusterTest, RestartedShardIsReadmittedByProbe) {

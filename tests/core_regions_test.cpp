@@ -2,8 +2,15 @@
 // regions (§4 tasks 4-5, §4.6.2b).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/location_service.hpp"
 #include "core/region_lattice.hpp"
+#include "lattice/rect_lattice.hpp"
 #include "util/error.hpp"
 
 namespace mw::core {
@@ -51,6 +58,55 @@ TEST(RegionLatticeTest, HasseStructureAndDepths) {
   // The east wing sits directly under the building.
   auto wing = *lat.find("SC/EastWing");
   EXPECT_EQ(lat.node(wing).parents, (std::vector<std::size_t>{root}));
+}
+
+TEST(RegionLatticeTest, HasseEdgesMatchTheFusionLattice) {
+  // Nested or disjoint rects, so the fusion lattice derives no intersection
+  // nodes; two names share one rect.
+  const std::vector<std::pair<std::string, geo::Rect>> regions = {
+      {"SC", geo::Rect::fromOrigin({0, 0}, 100, 50)},
+      {"SC/A", geo::Rect::fromOrigin({0, 0}, 50, 50)},
+      {"SC/A/room", geo::Rect::fromOrigin({0, 0}, 20, 20)},
+      {"SC/A/room-alias", geo::Rect::fromOrigin({0, 0}, 20, 20)},
+      {"SC/A/room/desk", geo::Rect::fromOrigin({2, 2}, 5, 5)},
+      {"SC/A/lab", geo::Rect::fromOrigin({25, 0}, 20, 20)},
+      {"SC/B", geo::Rect::fromOrigin({50, 0}, 50, 50)},
+      {"SC/B/office", geo::Rect::fromOrigin({60, 10}, 10, 10)},
+  };
+  RegionLattice named;
+  lattice::RectLattice fusion(regions.front().second);
+  for (const auto& [glob, rect] : regions) {
+    named.add(glob, rect);
+    fusion.insert(rect, glob);
+  }
+  ASSERT_EQ(fusion.size(), regions.size() - 1) << "the alias merges into the room's node";
+
+  // Edges compared as rect sets: the fusion lattice holds one node per rect.
+  using Corners = std::array<double, 4>;
+  auto cornersOf = [](const geo::Rect& r) {
+    return Corners{r.lo().x, r.lo().y, r.hi().x, r.hi().y};
+  };
+  auto rectsOf = [&](const auto& lat, const std::vector<std::size_t>& ids) {
+    std::set<Corners> out;
+    for (std::size_t id : ids) out.insert(cornersOf(lat.node(id).rect));
+    return out;
+  };
+  for (std::size_t i = 0; i < named.size(); ++i) {
+    const RegionLattice::Node& node = named.node(i);
+    const std::size_t twin = fusion.find(node.rect);
+    ASSERT_LT(twin, fusion.size()) << node.glob;
+    const lattice::RectLattice::Node& other = fusion.node(twin);
+    EXPECT_EQ(rectsOf(named, node.parents), rectsOf(fusion, other.parents)) << node.glob;
+    EXPECT_EQ(rectsOf(named, node.children), rectsOf(fusion, other.children)) << node.glob;
+  }
+  // Equal rects are neither parent nor child of each other.
+  const auto room = *named.find("SC/A/room");
+  const auto alias = *named.find("SC/A/room-alias");
+  const std::vector<std::size_t> desk{*named.find("SC/A/room/desk")};
+  EXPECT_EQ(named.node(room).parents, named.node(alias).parents);
+  EXPECT_EQ(named.node(room).children, desk);
+  EXPECT_EQ(named.node(alias).children, desk);
+  EXPECT_EQ(named.node(room).depth, named.node(alias).depth);
 }
 
 TEST(RegionLatticeTest, SmallestAtAndChain) {

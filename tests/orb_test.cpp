@@ -1,6 +1,7 @@
 // MicroOrb tests: wire codec, in-process and TCP transports, RPC, pub/sub.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -250,6 +251,86 @@ TEST(RpcTimeoutTest, LateReplyAfterTimeoutIsDiscarded) {
     EXPECT_EQ(client.call("echo", {static_cast<std::uint8_t>(i)}),
               Bytes{static_cast<std::uint8_t>(i)});
   }
+}
+
+// --- RPC start/wait pipelining ---------------------------------------------------
+
+/// A server whose "hold" method parks until its tag is released. The payload
+/// is {lane, tag}: the first byte picks the executor lane, so two holds on
+/// different lanes run at once and their replies can leave in either order.
+class RpcPipelineTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    server_.registerMethod(
+        "hold",
+        [this](const Bytes& in) -> Bytes {
+          while (!released_[in[1]].load()) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          return {in[1]};
+        },
+        [](const Bytes& payload, std::uintptr_t) { return std::size_t{payload[0]}; });
+    server_.registerMethod(
+        "echo", [](const Bytes& in) { return in; },
+        [](const Bytes&, std::uintptr_t) { return std::size_t{0}; });
+    server_.enableDispatcher(2);
+    server_.serve(serverSide_);
+  }
+
+  void TearDown() override {
+    for (auto& gate : released_) gate.store(true);
+  }
+
+  static RpcClient::Deadline in(int ms) {
+    return std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+  }
+
+  std::pair<std::shared_ptr<Transport>, std::shared_ptr<Transport>> pair_ = makeInProcPair();
+  std::shared_ptr<Transport> serverSide_ = pair_.second;
+  std::array<std::atomic<bool>, 3> released_{};
+  RpcServer server_;
+  RpcClient client_{pair_.first};
+};
+
+TEST_F(RpcPipelineTest, OutOfOrderRepliesResolveTheirOwnCalls) {
+  RpcClient::Call first = client_.start("hold", {0, 0});
+  RpcClient::Call second = client_.start("hold", {1, 1});
+  EXPECT_EQ(client_.pendingCalls(), 2u);
+  released_[1].store(true);
+  EXPECT_EQ(client_.wait(second, in(2000)), Bytes{1}) << "the later call answers first";
+  EXPECT_EQ(client_.pendingCalls(), 1u);
+  released_[0].store(true);
+  EXPECT_EQ(client_.wait(first, in(2000)), Bytes{0});
+  EXPECT_EQ(client_.pendingCalls(), 0u);
+}
+
+TEST_F(RpcPipelineTest, OneCallTimingOutLeavesTheOthersOnTheConnection) {
+  released_[1].store(true);
+  RpcClient::Call slow = client_.start("hold", {0, 0});
+  RpcClient::Call fast = client_.start("hold", {1, 1});
+  EXPECT_THROW(client_.wait(slow, in(30)), util::TimeoutError);
+  EXPECT_EQ(client_.wait(fast, in(2000)), Bytes{1});
+  RpcClient::Call later = client_.start("hold", {1, 2});
+  released_[2].store(true);
+  EXPECT_EQ(client_.wait(later, in(2000)), Bytes{2});
+  EXPECT_EQ(client_.pendingCalls(), 0u);
+}
+
+TEST_F(RpcPipelineTest, LateReplyIsDroppedAndLeavesNoPendingEntry) {
+  RpcClient::Call slow = client_.start("hold", {0, 0});
+  EXPECT_THROW(client_.wait(slow, in(20)), util::TimeoutError);
+  EXPECT_EQ(client_.pendingCalls(), 0u) << "a timed-out call is forgotten";
+  released_[0].store(true);
+  // "echo" shares lane 0 with the held call, so its reply arrives after the
+  // late one.
+  EXPECT_EQ(client_.call("echo", {7}), Bytes{7});
+  EXPECT_EQ(client_.pendingCalls(), 0u) << "the late reply registered nothing";
+}
+
+TEST_F(RpcPipelineTest, SendFailureAtStartLeavesNoPendingEntry) {
+  pair_.first->close();
+  EXPECT_THROW((void)client_.start("echo", {1}), util::TransportError);
+  EXPECT_EQ(client_.pendingCalls(), 0u);
 }
 
 TEST(RpcTest, OnewayErrorsAreSwallowed) {
