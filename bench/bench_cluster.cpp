@@ -44,12 +44,11 @@ struct ClusterFixture {
   std::vector<std::unique_ptr<cluster::ShardHost>> hosts;
   std::unique_ptr<cluster::ClusterLocationService> router;
 
-  explicit ClusterFixture(std::size_t shards, bool enableShm = true, bool spatial = false) {
+  explicit ClusterFixture(std::size_t shards, bool spatial = false) {
     const auto tokens = memberTokens(shards);
     for (std::size_t i = 0; i < shards; ++i) {
       cluster::ShardHost::Options opts;
       (spatial ? opts.spaceToken : opts.ringToken) = tokens[i];
-      opts.enableShm = enableShm;
       auto host = std::make_unique<cluster::ShardHost>(clock, benchUniverse(), "SC",
                                                        "127.0.0.1", registry.port(), opts);
       configureWorld(host->core());
@@ -163,39 +162,6 @@ static void BM_ClusterRegionPoll(benchmark::State& state) {
 }
 BENCHMARK(BM_ClusterRegionPoll)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
-// Transport lane comparison: the same 2-shard routed ingest+locate workload
-// over TCP loopback (shm disabled) vs the shared-memory lane the shards
-// announce when colocated. The "shm_lanes" counter records how many shards
-// actually published a lane — 0 on hosts without POSIX shm, where both rows
-// degenerate to loopback and should read identically.
-static void BM_ClusterTransportLane(benchmark::State& state) {
-  const bool shm = state.range(0) != 0;
-  ClusterFixture f(2, shm);
-
-  double shmLanes = 0;
-  for (const auto& host : f.hosts) {
-    if (!host->shmName().empty()) ++shmLanes;
-  }
-
-  constexpr int kObjects = 16;
-  util::Rng rng{13};
-  std::uint64_t ops = 0;
-  for (auto _ : state) {
-    for (int i = 0; i < kObjects; ++i) {
-      const std::string object = "p" + std::to_string(i);
-      f.router->ingest(f.makeReading(object, {rng.uniform(1, 39), rng.uniform(1, 39)}));
-      benchmark::DoNotOptimize(f.router->locate(util::MobileObjectId{object}));
-      ops += 2;
-    }
-  }
-
-  f.exportStats(state);
-  state.counters["shm_lanes"] = shmLanes;
-  state.SetItemsProcessed(static_cast<std::int64_t>(ops));
-  state.SetLabel(shm ? "shm lane" : "tcp loopback");
-}
-BENCHMARK(BM_ClusterTransportLane)->Arg(0)->Arg(1)->UseRealTime();
-
 // Replication lane: the same routed ingest+locate workload against a single
 // shard without (Arg 0) and with (Arg 1) a warm-standby backup. With a
 // backup, every acked ingest was synchronously mirrored before the local
@@ -258,7 +224,7 @@ BENCHMARK(BM_ClusterReplicatedIngest)->Arg(0)->Arg(1)->UseRealTime();
 static void BM_ClusterRegionQuerySmall(benchmark::State& state) {
   const auto shards = static_cast<std::size_t>(state.range(0));
   const bool spatial = state.range(1) != 0;
-  ClusterFixture f(shards, true, spatial);
+  ClusterFixture f(shards, spatial);
 
   constexpr int kObjects = 32;
   util::Rng rng{23};
@@ -299,7 +265,7 @@ BENCHMARK(BM_ClusterRegionQuerySmall)
 // "object_migrations" proves the crossing rows actually migrated.
 static void BM_ClusterTerritoryMigration(benchmark::State& state) {
   const bool crossing = state.range(0) != 0;
-  ClusterFixture f(2, true, true);
+  ClusterFixture f(2, true);
 
   // A resident background population on both sides, so migrations run
   // against non-empty shards.

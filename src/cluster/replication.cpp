@@ -181,7 +181,6 @@ void serveMigrate(orb::RpcServer& server, MigrateHandlers handlers) {
     request.gainerToken = r.str();
     request.gainer.host = r.str();
     request.gainer.port = r.u16();
-    request.gainer.shmName = r.str();
     request.objects = readObjects(r);
     const std::uint32_t rectCount = r.u32();
     request.rects.reserve(
@@ -228,7 +227,6 @@ MigrateBegun callMigrateBegin(orb::RpcClient& rpc, const MigrateRequest& request
   w.str(request.gainerToken);
   w.str(request.gainer.host);
   w.u16(request.gainer.port);
-  w.str(request.gainer.shmName);
   writeObjects(w, request.objects);
   w.u32(static_cast<std::uint32_t>(request.rects.size()));
   for (const auto& rect : request.rects) {

@@ -1,7 +1,5 @@
 #include "cluster/shard_host.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <map>
 #include <unordered_set>
@@ -65,23 +63,6 @@ ShardHost::~ShardHost() { stop(); }
 void ShardHost::start() {
   mw::util::require(!running_, "ShardHost::start: already running");
   port_ = core_->listen(options_.port);
-  if (options_.enableShm) {
-    if (orb::shmAvailable()) {
-      // The lane name must be unique per process (parallel test runs share
-      // /dev/shm) and registry-safe; '/' in the shard name becomes '.'.
-      std::string lane = "mw." + name_ + "." + std::to_string(::getpid());
-      for (auto& c : lane) {
-        if (c == '/') c = '.';
-      }
-      shmListener_ = std::make_unique<orb::ShmListener>(
-          lane, [this](std::shared_ptr<orb::Transport> t) {
-            core_->rpcServer().serve(std::move(t));
-          });
-      shmName_ = lane;
-    } else {
-      util::logWarn("ShardHost", name_, ": POSIX shm unavailable; serving TCP only");
-    }
-  }
   installTap();
   serveMigrate(core_->rpcServer(),
                {[this](const MigrateRequest& request) { return beginMigration(request); },
@@ -132,13 +113,11 @@ void ShardHost::stop() {
     std::lock_guard lock(peersMutex_);
     peers_.clear();
   }
-  shmListener_.reset();
-  shmName_.clear();
   running_ = false;
 }
 
 core::Endpoint ShardHost::selfEndpoint() const {
-  return core::Endpoint{"127.0.0.1", port_, shmName_};
+  return core::Endpoint{"127.0.0.1", port_};
 }
 
 bool ShardHost::announceOnce() {

@@ -50,7 +50,6 @@
 #include "cluster/shard_map.hpp"
 #include "core/middlewhere.hpp"
 #include "core/remote_registry.hpp"
-#include "orb/shm.hpp"
 
 namespace mw::cluster {
 
@@ -70,10 +69,9 @@ class ShardHost {
     util::Duration announceTtl = util::sec(2);
     /// Re-announce period; must undercut the TTL with margin.
     util::Duration heartbeatPeriod = util::msec(500);
-    /// Also listen on a shared-memory ring (orb::ShmListener) and announce
-    /// its name, so colocated routers skip the TCP loopback hop. Ignored
-    /// (with a warning) when POSIX shm is unavailable on the host.
-    bool enableShm = true;
+    /// Ignored: shards serve TCP only, since the shared-memory lane was
+    /// removed. Kept because the perfbench harnesses still assign it.
+    bool enableShm = false;
     /// Consistent-hash-ring member token: the shard announces as
     /// "location.ring.<token>". A host given neither token is a ring member
     /// under kDefaultRingToken.
@@ -126,9 +124,6 @@ class ShardHost {
   }
   /// Bound service port; valid after start().
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
-  /// The announced shared-memory lane name; empty when the shm listener is
-  /// disabled or unavailable. Valid after start().
-  [[nodiscard]] const std::string& shmName() const noexcept { return shmName_; }
   [[nodiscard]] bool running() const noexcept { return running_; }
   /// Heartbeats that failed to reach the registry (logged at warn).
   [[nodiscard]] std::uint64_t heartbeatFailures() const noexcept {
@@ -243,11 +238,6 @@ class ShardHost {
   const std::string primaryName_;
   const std::string name_;
   std::uint16_t port_ = 0;
-  std::string shmName_;
-  /// Serves shared-memory connections into the same RpcServer (same lanes,
-  /// same stripe routing) as the TCP listener. Declared after core_ so it
-  /// stops accepting before the core it serves into dies.
-  std::unique_ptr<orb::ShmListener> shmListener_;
   bool running_ = false;
 
   std::atomic<Role> role_;

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 
-#include "orb/shm.hpp"
 #include "orb/tcp.hpp"
 #include "util/error.hpp"
-#include "util/logging.hpp"
 
 namespace mw::cluster {
 
@@ -82,16 +80,7 @@ MemberMap resolveMembers(core::RegistryClient& registry, Partitioning kind) {
 
 std::shared_ptr<core::RemoteLocationClient> connectMember(const core::Endpoint& endpoint,
                                                           util::Duration callTimeout) {
-  std::shared_ptr<orb::Transport> transport;
-  if (!endpoint.shmName.empty()) {
-    try {
-      transport = orb::shmConnect(endpoint.shmName);
-    } catch (const util::TransportError&) {
-      util::logWarn("cluster", "shm lane ", endpoint.shmName, " unreachable; falling back to tcp");
-    }
-  }
-  if (!transport) transport = orb::tcpConnect(endpoint.host, endpoint.port);
-  auto rpc = std::make_shared<orb::RpcClient>(std::move(transport));
+  auto rpc = std::make_shared<orb::RpcClient>(orb::tcpConnect(endpoint.host, endpoint.port));
   rpc->setCallTimeout(callTimeout);
   return std::make_shared<core::RemoteLocationClient>(std::move(rpc));
 }

@@ -67,10 +67,8 @@ struct MemberMap {
 
 [[nodiscard]] MemberMap resolveMembers(core::RegistryClient& registry, Partitioning kind);
 
-/// A client for a member's service: over its shared-memory lane when one is
-/// announced and reachable (the name only resolves on the member's own
-/// host), else TCP. Every call carries `callTimeout`. Throws
-/// util::TransportError when neither connects.
+/// A TCP client for a member's service. Every call carries `callTimeout`.
+/// Throws util::TransportError when the member does not accept.
 [[nodiscard]] std::shared_ptr<core::RemoteLocationClient> connectMember(
     const core::Endpoint& endpoint, util::Duration callTimeout);
 

@@ -17,7 +17,6 @@ RegistryServer::RegistryServer(std::uint16_t port) {
     std::string name = r.str();
     Endpoint ep{r.str(), r.u16()};
     const std::uint32_t ttlMs = r.u32();
-    if (!r.exhausted()) ep.shmName = r.str();  // absent in pre-shm announces
     std::uint64_t generation = 0;
     if (!r.exhausted()) generation = r.u64();  // absent in pre-fencing announces
     mw::util::require(!name.empty(), "registry.announce: empty name");
@@ -55,7 +54,6 @@ RegistryServer::RegistryServer(std::uint16_t port) {
     if (it != entries_.end()) {
       w.str(it->second.endpoint.host);
       w.u16(it->second.endpoint.port);
-      w.str(it->second.endpoint.shmName);
       w.u64(it->second.generation);
     }
     return w.take();
@@ -146,8 +144,7 @@ bool RegistryClient::announce(const std::string& name, const Endpoint& endpoint,
   w.str(endpoint.host);
   w.u16(endpoint.port);
   w.u32(static_cast<std::uint32_t>(ttl.count()));
-  w.str(endpoint.shmName);  // appended after TTL; absence decodes as "no shm lane"
-  w.u64(generation);        // appended last; absence decodes as unfenced
+  w.u64(generation);  // appended last; absence decodes as unfenced
   Bytes reply = rpc_->call("registry.announce", w.take());
   ByteReader r(reply);
   if (r.exhausted()) return true;  // pre-fencing server: every announce lands
@@ -170,8 +167,7 @@ std::optional<RegistryClient::ResolvedEntry> RegistryClient::lookupEntry(
   ResolvedEntry entry;
   entry.endpoint.host = r.str();
   entry.endpoint.port = r.u16();
-  if (!r.exhausted()) entry.endpoint.shmName = r.str();  // absent in pre-shm replies
-  if (!r.exhausted()) entry.generation = r.u64();        // absent pre-fencing
+  if (!r.exhausted()) entry.generation = r.u64();  // absent pre-fencing
   return entry;
 }
 

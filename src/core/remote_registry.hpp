@@ -42,13 +42,6 @@ namespace mw::core {
 struct Endpoint {
   std::string host;
   std::uint16_t port = 0;
-  /// Optional shared-memory lane ("shm://<shmName>"): when the announcing
-  /// service also listens on an orb::ShmListener, this carries its name so
-  /// colocated clients can skip the TCP loopback hop. Empty = TCP only.
-  /// Whether the name is reachable is the connecting side's problem — an
-  /// entry may be looked up from another host, where connecting falls back
-  /// to host:port.
-  std::string shmName;
 
   friend bool operator==(const Endpoint&, const Endpoint&) = default;
 };

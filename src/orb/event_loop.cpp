@@ -28,8 +28,8 @@ using mw::util::TransportError;
 
 namespace {
 
-/// Sanity cap shared with the shm transport: a length prefix beyond this is
-/// a protocol error (or an attack), never a legitimate frame.
+/// Sanity cap on a frame: a length prefix beyond this is a protocol error
+/// (or an attack), never a legitimate frame.
 constexpr std::uint32_t kMaxFrame = 64 * 1024 * 1024;
 /// Bytes buffered per connection before senders block (the flow control the
 /// old blocking sendAll provided implicitly). The loop itself never blocks —
@@ -79,23 +79,16 @@ class EpollConn final : public Transport, public std::enable_shared_from_this<Ep
   bool trySend(const util::Bytes& frame) override;
 
   void onReceive(Handler handler) override {
-    // Replay buffered frames without breaking the per-connection delivery
-    // order: while replaying_ is set, the loop thread queues new arrivals
-    // behind the backlog instead of invoking the handler concurrently, and
-    // this thread drains the queue front-to-back.
-    std::unique_lock lock(handlerMutex_);
-    handler_ = std::move(handler);
-    if (replaying_) return;  // an earlier install is already draining
-    replaying_ = true;
-    while (!pendingIn_.empty() && handler_) {
-      util::Bytes frame = std::move(pendingIn_.front());
-      pendingIn_.pop_front();
-      Handler h = handler_;
-      lock.unlock();
-      h(frame);
-      lock.lock();
+    {
+      std::lock_guard lock(handlerMutex_);
+      handler_ = std::move(handler);
     }
-    replaying_ = false;
+    // The socket is read only from the first install on: earlier frames
+    // are still in the kernel buffer, so the loop thread delivers them in
+    // order and this thread never runs the handler.
+    std::lock_guard lock(sendMutex_);
+    if (reading_.exchange(true)) return;
+    rearmLocked();
   }
 
   void close() override;
@@ -118,14 +111,17 @@ class EpollConn final : public Transport, public std::enable_shared_from_this<Ep
   /// close().
   void markClosed();
 
-  /// Loop thread, at registration time: the epoll interest to ADD with.
-  /// Taken under sendMutex_ so a send that spilled before the fd was
-  /// registered (armWriteLocked's EPOLL_CTL_MOD failed with ENOENT) gets
-  /// its EPOLLOUT here instead of being stranded.
-  [[nodiscard]] std::uint32_t initialEvents() {
+  /// Loop thread: adds the fd to `epollFd`. Under sendMutex_, so an
+  /// interest change made before registration (rearmLocked's
+  /// EPOLL_CTL_MOD failed with ENOENT) is picked up here, and every later
+  /// one finds the fd registered.
+  [[nodiscard]] bool registerWith(int epollFd) {
     std::lock_guard lock(sendMutex_);
     writeArmed_ = backlogPos_ < backlog_.size();
-    return EPOLLIN | (writeArmed_ ? EPOLLOUT : 0);
+    epoll_event ev{};
+    ev.events = interestLocked();
+    ev.data.fd = fd_;
+    return ::epoll_ctl(epollFd, EPOLL_CTL_ADD, fd_, &ev) == 0;
   }
 
  private:
@@ -133,10 +129,6 @@ class EpollConn final : public Transport, public std::enable_shared_from_this<Ep
     Handler handler;
     {
       std::lock_guard lock(handlerMutex_);
-      if (!handler_ || replaying_) {
-        pendingIn_.push_back(frame.toBytes());
-        return;
-      }
       handler = handler_;
     }
     handler(frame);
@@ -144,6 +136,15 @@ class EpollConn final : public Transport, public std::enable_shared_from_this<Ep
 
   /// Appends to backlog_ and arms EPOLLOUT (sendMutex_ held).
   void spill(const std::uint8_t* data, std::size_t n);
+  /// EPOLLIN once a handler is installed, EPOLLOUT while the backlog is
+  /// unflushed (sendMutex_ held).
+  [[nodiscard]] std::uint32_t interestLocked() const {
+    return (reading_.load() ? EPOLLIN : 0u) | (writeArmed_ ? EPOLLOUT : 0u);
+  }
+  /// Applies interestLocked() to the registered fd (sendMutex_ held).
+  /// False when the fd is not registered: registerWith() has not run yet
+  /// and will apply the interest itself, or the loop already dropped it.
+  bool rearmLocked();
   void armWriteLocked();
   /// One framed gather-send: socket fast path, spilling leftovers to the
   /// backlog (sendMutex_ held; caller has settled backpressure).
@@ -164,8 +165,8 @@ class EpollConn final : public Transport, public std::enable_shared_from_this<Ep
 
   std::mutex handlerMutex_;
   Handler handler_;
-  std::deque<util::Bytes> pendingIn_;
-  bool replaying_ = false;  ///< onReceive is draining pendingIn_
+  /// Set by the first onReceive; the socket is not read before.
+  std::atomic<bool> reading_{false};
 
   // Receive state: loop thread only.
   std::vector<std::uint8_t> rbuf_;
@@ -218,10 +219,7 @@ class EventLoop {
         conn->markClosed();
         return;
       }
-      epoll_event ev{};
-      ev.events = conn->initialEvents();
-      ev.data.fd = conn->fd();
-      if (::epoll_ctl(epollFd_, EPOLL_CTL_ADD, conn->fd(), &ev) != 0) {
+      if (!conn->registerWith(epollFd_)) {
         conn->markClosed();
         return;
       }
@@ -447,20 +445,20 @@ void EpollConn::spill(const std::uint8_t* data, std::size_t n) {
   armWriteLocked();
 }
 
+bool EpollConn::rearmLocked() {
+  epoll_event ev{};
+  ev.events = interestLocked();
+  ev.data.fd = fd_;
+  return ::epoll_ctl(loop_->epollFd(), EPOLL_CTL_MOD, fd_, &ev) == 0 || errno != ENOENT;
+}
+
 void EpollConn::armWriteLocked() {
   if (writeArmed_) return;
   writeArmed_ = true;
-  epoll_event ev{};
-  ev.events = EPOLLIN | EPOLLOUT;
-  ev.data.fd = fd_;
-  if (::epoll_ctl(loop_->epollFd(), EPOLL_CTL_MOD, fd_, &ev) != 0 && errno == ENOENT) {
-    // Not registered yet (the add() task is still queued) or already
-    // removed. Leaving writeArmed_ set would make every later spill a
-    // no-op and strand the backlog forever; clearing it lets the add()
-    // task pick the pending bytes up via initialEvents() — which runs
-    // under this same sendMutex_, so one of the two always sees them.
-    writeArmed_ = false;
-  }
+  // Not registered yet or already removed: leaving writeArmed_ set would
+  // make every later spill a no-op and strand the backlog forever;
+  // clearing it lets registerWith() see the pending bytes instead.
+  if (!rearmLocked()) writeArmed_ = false;
 }
 
 void EpollConn::handleWritable() {
@@ -481,10 +479,7 @@ void EpollConn::handleWritable() {
     backlogPos_ = 0;
     if (writeArmed_) {
       writeArmed_ = false;
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.fd = fd_;
-      ::epoll_ctl(loop_->epollFd(), EPOLL_CTL_MOD, fd_, &ev);
+      rearmLocked();
     }
     sendCv_.notify_all();  // close() may be waiting for the drain
   } else if (backlog_.size() - backlogPos_ <= kMaxSendBacklog) {
@@ -493,6 +488,9 @@ void EpollConn::handleWritable() {
 }
 
 bool EpollConn::handleReadable() {
+  // Without a handler only EPOLLERR/EPOLLHUP can fire: the connection died
+  // before anyone listened.
+  if (!reading_.load()) return false;
   if (rbuf_.size() < rend_ + kReadChunk) rbuf_.resize(rend_ + kReadChunk);
   for (;;) {
     ssize_t got = ::recv(fd_, rbuf_.data() + rend_, rbuf_.size() - rend_, 0);

@@ -9,7 +9,8 @@
 // connection are decoded and delivered in arrival order by a single thread —
 // the same ordering domain the reader thread used to provide, preserved for
 // the RpcServer's lane selectors and the per-object stripe invariant
-// downstream.
+// downstream. A connection joins the loop's read interest only when its
+// receive handler is installed; until then frames wait in the socket.
 //
 // Zero-copy framing: received frames are handed to the Transport handler as
 // util::ByteView slices of the loop's per-connection receive buffer (no

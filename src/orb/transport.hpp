@@ -1,8 +1,8 @@
 // Transport abstraction: a bidirectional channel carrying whole frames.
 //
-// Three implementations: an in-process pair (deterministic, used by tests
-// and same-process wiring), TCP on an epoll reactor (tcp.hpp + event_loop.hpp)
-// and a shared-memory ring for colocated processes (shm.hpp). Handlers may be
+// Two implementations: an in-process pair (deterministic, used by tests and
+// same-process wiring) and TCP on an epoll reactor (tcp.hpp +
+// event_loop.hpp), the only cross-process transport. Handlers may be
 // invoked on arbitrary threads; implementations serialize delivery per
 // transport. Received frames arrive as util::ByteView over the transport's
 // receive buffer — valid only for the duration of the handler call.
@@ -44,8 +44,13 @@ class Transport {
     return true;
   }
 
-  /// Installs the receive handler. Frames arriving before a handler is set
-  /// are buffered and delivered on installation.
+  /// Installs the receive handler. Frames arriving before the first handler
+  /// is set are not lost; they are delivered in order once it is. The
+  /// reactor transport does not read its socket until then, so early
+  /// frames wait in the kernel (TCP's window holds the peer back) and the
+  /// loop thread delivers them — never the installing thread. The
+  /// in-process pair buffers them and replays them on the installing
+  /// thread.
   virtual void onReceive(Handler handler) = 0;
 
   /// Closes the channel. After close() returns, the receive handler is not

@@ -1,8 +1,7 @@
 // Reactor-era transport tests: the epoll event-loop group (O(loops) reader
-// threads, multiplexed calls, oversized-frame accounting) and the
-// shared-memory ring transport (rendezvous, chunked large frames, parity
-// with TCP). Suite names EventLoopTest / ShmRingTest are matched by the
-// sanitizer regexes in scripts/reproduce.sh and CI.
+// threads, multiplexed calls, oversized-frame accounting, reads deferred
+// until a handler is installed). The EventLoopTest suite name is matched by
+// the sanitizer regexes in scripts/reproduce.sh and CI.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -14,13 +13,13 @@
 #include <chrono>
 #include <fstream>
 #include <future>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "orb/event_loop.hpp"
 #include "orb/rpc.hpp"
-#include "orb/shm.hpp"
 #include "orb/tcp.hpp"
 #include "util/error.hpp"
 
@@ -39,6 +38,21 @@ std::size_t processThreadCount() {
     }
   }
   return 0;
+}
+
+/// A raw blocking TCP socket connected to 127.0.0.1:`port`; -1 on failure.
+int connectLoopback(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
 }
 
 /// Polls `cond` until true or ~2 s elapse.
@@ -294,6 +308,217 @@ TEST(EventLoopTest, SlowSubscriberDoesNotStallPublishFanOut) {
   ::close(wedged);
 }
 
+TEST(EventLoopTest, HandlerInstalledUnderFloodRunsNoFrameOnInstaller) {
+  // A raw client floods an accepted connection before and while its handler
+  // is installed. Frames that arrive first must wait in the socket, not in
+  // a queue the installing thread replays: onReceive returns at once, the
+  // loop thread runs every handler call, and each frame arrives once, in
+  // order.
+  auto group = std::make_shared<EventLoopGroup>(1);
+  std::promise<std::shared_ptr<Transport>> accepted;
+  TcpListener listener(
+      0, [&](std::shared_ptr<Transport> t) { accepted.set_value(std::move(t)); },
+      {.backlog = 16, .group = group});
+
+  const int fd = connectLoopback(listener.port());
+  ASSERT_GE(fd, 0);
+  auto conn = accepted.get_future().get();
+
+  // Frames carry a 4-byte sequence number; batches of 256 per send.
+  constexpr std::uint32_t kTotal = 128 * 1024;
+  constexpr std::uint32_t kBatch = 256;
+  std::atomic<std::uint32_t> sent{0};
+  std::thread flood([&] {
+    std::vector<std::uint8_t> batch(kBatch * 8);
+    for (std::uint32_t seq = 0; seq < kTotal; seq += kBatch) {
+      for (std::uint32_t k = 0; k < kBatch; ++k) {
+        for (int i = 0; i < 4; ++i) {
+          batch[k * 8 + i] = static_cast<std::uint8_t>(4u >> (8 * i));
+          batch[k * 8 + 4 + i] = static_cast<std::uint8_t>((seq + k) >> (8 * i));
+        }
+      }
+      std::size_t off = 0;
+      while (off < batch.size()) {
+        const ssize_t n = ::send(fd, batch.data() + off, batch.size() - off, MSG_NOSIGNAL);
+        if (n <= 0) return;
+        off += static_cast<std::size_t>(n);
+      }
+      sent.store(seq + kBatch);
+    }
+  });
+
+  // Let frames pile up unhandled, then give the loop a moment to read them
+  // (it must not: nothing is decoded before a handler exists).
+  EXPECT_TRUE(eventually([&] { return sent.load() >= 4 * kBatch; }));
+  for (int i = 0; i < 20 && group->stats().framesIn == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(group->stats().framesIn, 0u) << "frames were read before a handler was installed";
+
+  const auto installer = std::this_thread::get_id();
+  std::atomic<std::uint32_t> onInstaller{0};
+  std::atomic<std::uint32_t> received{0};
+  std::atomic<std::uint32_t> outOfOrder{0};
+  const auto start = std::chrono::steady_clock::now();
+  conn->onReceive([&](util::ByteView f) {
+    if (std::this_thread::get_id() == installer) onInstaller.fetch_add(1);
+    std::uint32_t seq = 0;
+    for (int i = 0; i < 4 && i < static_cast<int>(f.size()); ++i) {
+      seq |= static_cast<std::uint32_t>(f.data()[i]) << (8 * i);
+    }
+    if (f.size() != 4 || seq != received.load()) outOfOrder.fetch_add(1);
+    received.fetch_add(1);
+  });
+  const auto installTook = std::chrono::steady_clock::now() - start;
+
+  EXPECT_LT(installTook, std::chrono::milliseconds(200)) << "onReceive drained the flood";
+  EXPECT_EQ(onInstaller.load(), 0u) << "a handler call ran on the installing thread";
+  flood.join();
+  ASSERT_EQ(sent.load(), kTotal);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (received.load() < kTotal && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(received.load(), kTotal) << "frames lost or delivered twice";
+  EXPECT_EQ(outOfOrder.load(), 0u);
+  conn->close();
+  ::close(fd);
+}
+
+TEST(EventLoopTest, FramesSentBeforePeerClosesArriveOnceHandlerInstalled) {
+  // Deferred reads must not turn an orderly close into data loss: the
+  // frames and the FIN both wait in the socket, so the first handler still
+  // sees every frame, in order, and only then does the connection close.
+  auto group = std::make_shared<EventLoopGroup>(1);
+  std::promise<std::shared_ptr<Transport>> accepted;
+  TcpListener listener(
+      0, [&](std::shared_ptr<Transport> t) { accepted.set_value(std::move(t)); },
+      {.backlog = 16, .group = group});
+  const int fd = connectLoopback(listener.port());
+  ASSERT_GE(fd, 0);
+  auto conn = accepted.get_future().get();
+
+  // Frame n (1..5) is n bytes of value n.
+  std::vector<std::uint8_t> wire;
+  for (std::uint8_t n = 1; n <= 5; ++n) {
+    wire.insert(wire.end(), {n, 0, 0, 0});
+    wire.insert(wire.end(), std::size_t{n}, n);
+  }
+  ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(wire.size()));
+  ::close(fd);
+  ASSERT_TRUE(eventually([&] { return group->connectionCount() == 1; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_TRUE(conn->isOpen()) << "the peer's FIN was consumed before a handler existed";
+
+  std::mutex m;
+  std::vector<Bytes> frames;
+  conn->onReceive([&](util::ByteView f) {
+    std::lock_guard lock(m);
+    frames.push_back(f.toBytes());
+  });
+  EXPECT_TRUE(eventually([&] { return !conn->isOpen(); })) << "EOF not seen after the frames";
+  std::lock_guard lock(m);
+  ASSERT_EQ(frames.size(), 5u);
+  for (std::uint8_t n = 1; n <= 5; ++n) {
+    EXPECT_EQ(frames[n - 1], Bytes(n, n)) << "frame " << int{n};
+  }
+}
+
+TEST(EventLoopTest, PeerResetBeforeHandlerInstalledDropsConnection) {
+  // With no read interest the loop still hears EPOLLERR/EPOLLHUP. A reset
+  // before any handler exists drops the connection from the loop; a handler
+  // installed afterwards is never called and sends fail.
+  auto group = std::make_shared<EventLoopGroup>(1);
+  std::promise<std::shared_ptr<Transport>> accepted;
+  TcpListener listener(
+      0, [&](std::shared_ptr<Transport> t) { accepted.set_value(std::move(t)); },
+      {.backlog = 16, .group = group});
+  const int fd = connectLoopback(listener.port());
+  ASSERT_GE(fd, 0);
+  auto conn = accepted.get_future().get();
+  ASSERT_TRUE(eventually([&] { return group->connectionCount() == 1; }));
+
+  const linger abortive{1, 0};  // close() sends RST instead of FIN
+  ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &abortive, sizeof(abortive));
+  ::close(fd);
+  EXPECT_TRUE(eventually([&] { return !conn->isOpen(); }));
+  EXPECT_TRUE(eventually([&] { return group->connectionCount() == 0; }));
+
+  std::atomic<int> calls{0};
+  conn->onReceive([&](util::ByteView) { calls.fetch_add(1); });
+  EXPECT_THROW(conn->send(Bytes{1}), util::TransportError);
+  conn->close();
+  EXPECT_EQ(calls.load(), 0);
+}
+
+TEST(EventLoopTest, InstallingHandlerKeepsPendingBacklogFlushing) {
+  // A connection that spilled a send backlog before its handler existed
+  // is waiting on EPOLLOUT only. Installing the handler adds EPOLLIN to
+  // that interest: the peer's frame must arrive AND the backlog must still
+  // drain.
+  auto group = std::make_shared<EventLoopGroup>(1);
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const int sndbuf = 4096;
+  ::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));
+  auto conn = group->adopt(fds[0], "backlog-then-install");
+  ASSERT_TRUE(eventually([&] { return group->connectionCount() == 1; }));
+
+  const Bytes big(256 * 1024, 0xCD);
+  conn->send(big);  // far beyond the socket buffer: spills, arms EPOLLOUT
+  const std::uint8_t ping[] = {2, 0, 0, 0, 7, 7};
+  ASSERT_EQ(::send(fds[1], ping, sizeof(ping), MSG_NOSIGNAL), static_cast<ssize_t>(sizeof(ping)));
+
+  std::atomic<int> pings{0};
+  conn->onReceive([&](util::ByteView f) {
+    if (f.size() == 2 && f.data()[0] == 7 && f.data()[1] == 7) pings.fetch_add(1);
+  });
+  EXPECT_TRUE(eventually([&] { return pings.load() == 1; })) << "frame not read after install";
+
+  timeval tv{2, 0};
+  ::setsockopt(fds[1], SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  std::size_t total = 0;
+  std::uint8_t buf[8192];
+  while (total < 4 + big.size()) {
+    const ssize_t got = ::recv(fds[1], buf, sizeof(buf), 0);
+    if (got <= 0) break;  // timeout = backlog stranded by the install
+    total += static_cast<std::size_t>(got);
+  }
+  EXPECT_EQ(total, 4 + big.size());
+  conn->close();
+  ::close(fds[1]);
+}
+
+TEST(EventLoopTest, CloseBeforeAnyHandlerHangsUpAndUnregisters) {
+  // A connection nobody ever read from still closes the way close()
+  // promises: it leaves the loop before close() returns, the peer sees
+  // EOF, and a handler installed afterwards never runs.
+  auto group = std::make_shared<EventLoopGroup>(1);
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  auto conn = group->adopt(fds[0], "never-read");
+  ASSERT_TRUE(eventually([&] { return group->connectionCount() == 1; }));
+  const std::uint8_t frame[] = {1, 0, 0, 0, 9};
+  ASSERT_EQ(::send(fds[1], frame, sizeof(frame), MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof(frame)));
+
+  conn->close();
+  EXPECT_FALSE(conn->isOpen());
+  EXPECT_EQ(group->connectionCount(), 0u);
+  timeval tv{2, 0};
+  ::setsockopt(fds[1], SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  std::uint8_t buf[8];
+  EXPECT_EQ(::recv(fds[1], buf, sizeof(buf), 0), 0) << "peer did not see EOF";
+
+  std::atomic<int> calls{0};
+  conn->onReceive([&](util::ByteView) { calls.fetch_add(1); });
+  (void)::send(fds[1], frame, sizeof(frame), MSG_NOSIGNAL);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(calls.load(), 0) << "a handler ran after close()";
+  ::close(fds[1]);
+}
+
 TEST(TransportConcurrencyTest, InProcCloseSynchronizesWithInFlightDelivery) {
   // Regression: close() promises the handler is not invoked again after it
   // returns, but the in-proc pair used to invoke a copied handler after
@@ -353,93 +578,6 @@ TEST(TransportConcurrencyTest, HandlerInstallReplayPreservesOrder) {
   for (std::size_t i = 0; i < seen.size(); ++i) {
     ASSERT_EQ(seen[i], i) << "frame replayed out of order";
   }
-}
-
-// --- shared-memory ring transport -------------------------------------------------
-
-TEST(ShmRingTest, AvailabilityProbeRuns) {
-  // /dev/shm is mounted everywhere we run tests; mostly assert no throw/leak.
-  EXPECT_TRUE(shmAvailable());
-}
-
-TEST(ShmRingTest, EchoRoundTrip) {
-  if (!shmAvailable()) GTEST_SKIP() << "POSIX shm unavailable";
-  RpcServer server;
-  server.registerMethod("echo", [](const Bytes& in) { return in; });
-  ShmListener listener("mw.test.echo." + std::to_string(::getpid()),
-                       [&](std::shared_ptr<Transport> t) { server.serve(std::move(t)); });
-  RpcClient client(shmConnect(listener.name()));
-  EXPECT_EQ(client.call("echo", {9, 8, 7}), (Bytes{9, 8, 7}));
-}
-
-TEST(ShmRingTest, FrameLargerThanRingStreamsThrough) {
-  if (!shmAvailable()) GTEST_SKIP() << "POSIX shm unavailable";
-  RpcServer server;
-  server.registerMethod("echo", [](const Bytes& in) { return in; });
-  ShmListener listener("mw.test.big." + std::to_string(::getpid()),
-                       [&](std::shared_ptr<Transport> t) { server.serve(std::move(t)); });
-  RpcClient client(shmConnect(listener.name()));
-  // 3 MiB payload against 1 MiB rings: both directions must chunk.
-  Bytes big(3 * 1024 * 1024);
-  for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<std::uint8_t>(i * 131);
-  EXPECT_EQ(client.call("echo", big, util::sec(30)), big);
-}
-
-TEST(ShmRingTest, ConnectToMissingListenerThrows) {
-  EXPECT_THROW(shmConnect("mw.test.no-such-listener"), util::TransportError);
-}
-
-TEST(ShmRingTest, ConnectAfterStopThrows) {
-  if (!shmAvailable()) GTEST_SKIP() << "POSIX shm unavailable";
-  RpcServer server;
-  ShmListener listener("mw.test.stopped." + std::to_string(::getpid()),
-                       [&](std::shared_ptr<Transport> t) { server.serve(std::move(t)); });
-  listener.stop();
-  EXPECT_THROW(shmConnect(listener.name()), util::TransportError);
-}
-
-TEST(ShmRingTest, RepliesAreByteIdenticalToTcp) {
-  if (!shmAvailable()) GTEST_SKIP() << "POSIX shm unavailable";
-  // One server, both lanes: every reply must be byte-identical regardless
-  // of the transport that carried it.
-  RpcServer server;
-  server.registerMethod("twice", [](const Bytes& in) {
-    Bytes out = in;
-    out.insert(out.end(), in.begin(), in.end());
-    return out;
-  });
-  TcpListener tcp(0, [&](std::shared_ptr<Transport> t) { server.serve(std::move(t)); });
-  ShmListener shm("mw.test.parity." + std::to_string(::getpid()),
-                  [&](std::shared_ptr<Transport> t) { server.serve(std::move(t)); });
-  RpcClient viaTcp(tcpConnect("127.0.0.1", tcp.port()));
-  RpcClient viaShm(shmConnect(shm.name()));
-  for (std::size_t len : {0UL, 1UL, 57UL, 4096UL, 100000UL}) {
-    Bytes args(len);
-    for (std::size_t i = 0; i < len; ++i) args[i] = static_cast<std::uint8_t>(i * 37);
-    EXPECT_EQ(viaTcp.call("twice", args), viaShm.call("twice", args)) << "len=" << len;
-  }
-}
-
-TEST(ShmRingTest, ManyConcurrentCallersAllComplete) {
-  if (!shmAvailable()) GTEST_SKIP() << "POSIX shm unavailable";
-  RpcServer server;
-  server.enableDispatcher(2);
-  server.registerMethod(
-      "echo", [](const Bytes& in) { return in; }, RpcServer::roundRobinLanes());
-  ShmListener listener("mw.test.mux." + std::to_string(::getpid()),
-                       [&](std::shared_ptr<Transport> t) { server.serve(std::move(t)); });
-  RpcClient client(shmConnect(listener.name()));
-  std::vector<std::future<bool>> futures;
-  for (int i = 0; i < 8; ++i) {
-    futures.push_back(std::async(std::launch::async, [&client, i] {
-      for (int j = 0; j < 50; ++j) {
-        const auto b = static_cast<std::uint8_t>(i * 50 + j);
-        if (client.call("echo", {b}, util::sec(10)) != Bytes{b}) return false;
-      }
-      return true;
-    }));
-  }
-  for (auto& f : futures) EXPECT_TRUE(f.get());
 }
 
 }  // namespace

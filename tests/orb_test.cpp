@@ -369,6 +369,12 @@ TEST(TcpTest, LoopbackRpcRoundTrip) {
   auto transport = tcpConnect("127.0.0.1", listener.port());
   RpcClient client(transport);
   EXPECT_EQ(client.call("echo", {9, 9, 9}), (Bytes{9, 9, 9}));
+  // Empty, one-byte, odd, page-sized and multi-read payloads.
+  for (std::size_t len : {0UL, 1UL, 57UL, 4096UL, 100000UL}) {
+    Bytes args(len);
+    for (std::size_t i = 0; i < len; ++i) args[i] = static_cast<std::uint8_t>(i * 37);
+    EXPECT_EQ(client.call("echo", args), args) << "len=" << len;
+  }
 }
 
 TEST(TcpTest, MultipleClients) {
@@ -426,6 +432,41 @@ TEST(TcpTest, ConnectToClosedPortThrows) {
     port = listener.port();
   }
   EXPECT_THROW(tcpConnect("127.0.0.1", port), util::TransportError);
+}
+
+TEST(TcpTest, ConnectAfterListenerStopThrows) {
+  // stop() refuses new connections; ones already accepted keep serving.
+  RpcServer server;
+  server.registerMethod("echo", [](const Bytes& in) { return in; });
+  TcpListener listener(0, [&](std::shared_ptr<Transport> t) { server.serve(std::move(t)); });
+  RpcClient open(tcpConnect("127.0.0.1", listener.port()));
+  EXPECT_EQ(open.call("echo", {1}), Bytes{1});
+  listener.stop();
+  EXPECT_THROW(tcpConnect("127.0.0.1", listener.port()), util::TransportError);
+  EXPECT_EQ(open.call("echo", {2}), Bytes{2});
+}
+
+TEST(TcpTest, RepliesMatchInProcessTransport) {
+  // One server behind both transports: the carrier must never show in a
+  // reply.
+  RpcServer server;
+  server.registerMethod("twice", [](const Bytes& in) {
+    Bytes out = in;
+    out.insert(out.end(), in.begin(), in.end());
+    return out;
+  });
+  TcpListener listener(0, [&](std::shared_ptr<Transport> t) { server.serve(std::move(t)); });
+  auto [clientSide, serverSide] = makeInProcPair();
+  server.serve(serverSide);
+  RpcClient viaInProc(clientSide);
+  RpcClient viaTcp(tcpConnect("127.0.0.1", listener.port()));
+  for (std::size_t len : {0UL, 1UL, 57UL, 4096UL, 100000UL}) {
+    Bytes args(len);
+    for (std::size_t i = 0; i < len; ++i) args[i] = static_cast<std::uint8_t>(i * 37);
+    const Bytes tcpReply = viaTcp.call("twice", args);
+    EXPECT_EQ(tcpReply.size(), 2 * len) << "len=" << len;
+    EXPECT_EQ(tcpReply, viaInProc.call("twice", args)) << "len=" << len;
+  }
 }
 
 // --- serving stats ----------------------------------------------------------------
