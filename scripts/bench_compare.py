@@ -3,7 +3,9 @@
 
 Compares freshly produced google-benchmark JSON (bench-json/BENCH_*.json from
 the CI bench-smoke job, or a local scripts/bench_json.sh run) against the
-baselines committed at the repo root. Per benchmark, the gate is on real_time:
+baselines committed at the repo root. Per benchmark, the gate is on the median
+real_time of its raw runs (scripts/bench_json.sh records 5 repetitions of
+each; a file with one run per name compares that run):
 
   slower by more than --warn (default 15%)  ->  WARN
   slower by more than --fail (default 40%)  ->  FAIL (nonzero exit)
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import statistics
 import sys
 
 TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
@@ -32,18 +35,20 @@ OK, WARN, FAIL = "ok", "warn", "FAIL"
 
 
 def load_benchmarks(path: pathlib.Path) -> tuple[dict[str, float], str]:
-    """Returns {benchmark name: real_time in ns} and the context's
-    hardware_concurrency ("" when the file predates the context field)."""
+    """Returns {benchmark name: median real_time in ns over its raw runs} and
+    the context's hardware_concurrency ("" when the file predates the context
+    field)."""
     with path.open() as f:
         doc = json.load(f)
-    times = {}
+    runs: dict[str, list[float]] = {}
     for entry in doc.get("benchmarks", []):
         if entry.get("run_type") == "aggregate":
-            continue  # compare raw runs, not mean/median/stddev rows
+            continue  # take the median of the raw runs ourselves
         unit = TIME_UNIT_NS.get(entry.get("time_unit", "ns"))
         if unit is None or "real_time" not in entry:
             continue
-        times[entry["name"]] = float(entry["real_time"]) * unit
+        runs.setdefault(entry["name"], []).append(float(entry["real_time"]) * unit)
+    times = {name: statistics.median(values) for name, values in runs.items()}
     context = doc.get("context", {})
     width = context.get("hardware_concurrency") or str(context.get("num_cpus", ""))
     return times, str(width)

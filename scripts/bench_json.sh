@@ -9,12 +9,22 @@
 #   BENCH_city.json           — open-loop city workload vs a 4-shard spatial
 #                               cluster (corrected p99 per operation class)
 #
+# Each benchmark runs 5 repetitions (scripts/bench_compare.py gates on their
+# median), and the JSON context records the build's CMAKE_BUILD_TYPE and the
+# git sha (the "library_build_type" gbench writes describes libbenchmark,
+# not this project).
+#
 # Usage: scripts/bench_json.sh [build-dir] [out-dir]
 # Or via CMake: cmake --build build --target bench_json
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-.}"
+REPO_DIR="$(cd "$(dirname "$0")/.." && pwd)"
+
+BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$BUILD_DIR/CMakeCache.txt" 2>/dev/null || true)"
+GIT_SHA="$(git -C "$REPO_DIR" rev-parse --short HEAD 2>/dev/null || true)"
+CONTEXT="build_type=${BUILD_TYPE:-unknown},git_sha=${GIT_SHA:-unknown}"
 
 run() {
   local bin="$1" out="$2"
@@ -23,7 +33,8 @@ run() {
     exit 1
   fi
   "$bin" --benchmark_out="$out" --benchmark_out_format=json \
-         --benchmark_min_time=0.05
+         --benchmark_min_time=0.05 --benchmark_repetitions=5 \
+         --benchmark_context="$CONTEXT"
   echo "wrote $out"
 }
 

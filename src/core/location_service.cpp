@@ -510,25 +510,21 @@ std::vector<std::pair<MobileObjectId, double>> LocationService::objectsInRegion(
     const geo::Rect& region, double minProbability) const {
   regionQueries_.fetch_add(1, std::memory_order_relaxed);
   const RegionKey key{region, minProbability};
-  // Catalog FIRST, then discovery and member epochs: a structural change
-  // racing the poll bumps the value we store, so the next poll rebuilds —
-  // the same conservative discipline as the per-object cache.
-  const std::uint64_t catalog = db_.catalogEpoch();
   const util::TimePoint now = clock_.now();
   const util::Duration tolerance = cacheToleranceNow();
 
-  RegionCacheEntry entry;
-  bool cached = false;
+  // Pinned, not copied: revalidation reads the entry outside the lock, and
+  // a concurrent poll replaces the map slot rather than mutating the entry.
+  std::shared_ptr<const RegionCacheEntry> cached;
   {
     std::shared_lock lock(regionCacheMutex_);
     auto it = regionCache_.find(key);
-    if (it != regionCache_.end() && it->second.catalog == catalog) {
-      entry = it->second;  // copied: revalidation runs outside the lock
-      cached = true;
-    }
+    if (it != regionCache_.end()) cached = it->second;
   }
 
-  // Candidate discovery: one R-tree pass over the per-object evidence boxes.
+  // Candidate discovery runs on every poll (one scan of the reading store's
+  // packed evidence columns), so objects that appeared or left since the
+  // entry was built are found here; members that stayed revalidate by epoch.
   std::vector<MobileObjectId> candidates = db_.mobileObjectsIntersecting(region);
 
   // Revalidate the population: fresh members are reused outright; stale or
@@ -539,10 +535,10 @@ std::vector<std::pair<MobileObjectId, double>> LocationService::objectsInRegion(
   std::uint64_t refused = 0;
   for (auto& object : candidates) {
     if (cached) {
-      auto it = entry.members.find(object);
-      if (it != entry.members.end() &&
+      auto it = cached->members.find(object);
+      if (it != cached->members.end() &&
           it->second.state->freshAt(db_.readingsEpoch(object), now, tolerance)) {
-        members.emplace(std::move(object), std::move(it->second));
+        members.emplace(std::move(object), it->second);
         continue;
       }
     }
@@ -553,32 +549,30 @@ std::vector<std::pair<MobileObjectId, double>> LocationService::objectsInRegion(
     members.emplace(std::move(object), std::move(member));
   }
 
-  const bool changed = !cached || refused > 0 || members.size() != entry.members.size();
-  if (changed) {
-    entry.result.clear();
-    for (const auto& [object, member] : members) {
-      if (member.probability >= minProbability) {
-        entry.result.emplace_back(object, member.probability);
-      }
-    }
-    // Descending probability; ties broken by id so the answer is stable
-    // across the unordered member map's iteration order.
-    std::sort(entry.result.begin(), entry.result.end(), [](const auto& a, const auto& b) {
-      if (a.second != b.second) return a.second > b.second;
-      return a.first < b.first;
-    });
-  }
-  entry.catalog = catalog;
-  entry.members = std::move(members);
-
   if (cached) {
     regionCacheHits_.fetch_add(1, std::memory_order_relaxed);
     regionCacheRevalidations_.fetch_add(refused, std::memory_order_relaxed);
+    // Same members, every one fresh: the cached entry still answers.
+    if (refused == 0 && members.size() == cached->members.size()) return cached->result;
   } else {
     regionCacheMisses_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  std::vector<std::pair<MobileObjectId, double>> out = entry.result;
+  auto entry = std::make_shared<RegionCacheEntry>();
+  for (const auto& [object, member] : members) {
+    if (member.probability >= minProbability) {
+      entry->result.emplace_back(object, member.probability);
+    }
+  }
+  // Descending probability; ties broken by id so the answer is stable
+  // across the unordered member map's iteration order.
+  std::sort(entry->result.begin(), entry->result.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
+  });
+  entry->members = std::move(members);
+
+  std::vector<std::pair<MobileObjectId, double>> out = entry->result;
   {
     std::unique_lock lock(regionCacheMutex_);
     if (!regionCache_.contains(key) && regionCache_.size() >= regionCacheCapacity_) {

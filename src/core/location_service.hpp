@@ -223,11 +223,13 @@ class LocationService {
   /// against their current readings epochs and re-fuses ONLY the stale ones
   /// (through the per-object cache above), so repolling an N-person region
   /// costs O(changed objects) fusions instead of O(N). Candidate discovery
-  /// runs once per poll as a single R-tree pass over the database's
-  /// per-object evidence boxes; a catalogEpoch move (spatial-object
-  /// insert/delete, sensor (de)registration, population change) forces a
-  /// full rebuild. Staleness tolerance is shared with the fusion cache
-  /// (setFusionCacheTolerance).
+  /// runs once per poll as one linear scan of the reading store's packed
+  /// per-object evidence boxes, so objects that appear or leave are found
+  /// without a rebuild, and the cached population survives population
+  /// growth and spatial-object changes. Sensor (de)registration moves every
+  /// member's readings epoch, so its members re-fuse; a prior change flushes
+  /// the cache through invalidateFusionCache. Staleness tolerance is shared
+  /// with the fusion cache (setFusionCacheTolerance).
   /// Bounds the number of cached region populations (default 256).
   void setRegionCacheCapacity(std::size_t entries);
   void invalidateRegionCache();
@@ -235,9 +237,10 @@ class LocationService {
   /// stale members).
   [[nodiscard]] std::uint64_t regionCacheHits() const noexcept;
   /// A poll that rebuilt its population from scratch (first poll for the
-  /// key, capacity eviction, or catalog epoch move).
+  /// key, capacity eviction, or an explicit invalidation).
   [[nodiscard]] std::uint64_t regionCacheMisses() const noexcept;
-  /// Members re-fused during cache hits — the partial-revalidation count;
+  /// Members re-fused during cache hits (members whose epoch moved, plus
+  /// candidates new to the population) — the partial-revalidation count;
   /// hits with 0 revalidations reused every member unchanged.
   [[nodiscard]] std::uint64_t regionCacheRevalidations() const noexcept;
   void resetRegionCacheCounters() noexcept;
@@ -260,7 +263,7 @@ class LocationService {
   /// "Who are the people in room 3105?" — every mobile object with sensor
   /// evidence intersecting the region whose fused probability of being
   /// inside reaches `minProbability`, sorted by descending probability.
-  /// Candidates are discovered through the readings R-tree: an object whose
+  /// Candidates are discovered by evidence box: an object whose
   /// entire evidence lies elsewhere is not reported, even when its diffuse
   /// misidentification mass would technically clear a tiny threshold.
   /// Served from the region population cache (see the cache section below).
@@ -496,8 +499,9 @@ class LocationService {
     double probability = 0;
   };
 
+  /// Immutable once cached: a poll that changes the population publishes a
+  /// new entry, so hits pin the cached one instead of copying it.
   struct RegionCacheEntry {
-    std::uint64_t catalog = 0;  ///< db catalog epoch the population was discovered at
     std::unordered_map<util::MobileObjectId, RegionMember> members;
     /// The filtered, probability-sorted answer for the key as of `members`.
     std::vector<std::pair<util::MobileObjectId, double>> result;
@@ -558,7 +562,8 @@ class LocationService {
 
   // Region population cache (L2): (region, params) -> revalidatable population.
   mutable std::shared_mutex regionCacheMutex_;
-  mutable std::unordered_map<RegionKey, RegionCacheEntry, RegionKeyHash> regionCache_;
+  mutable std::unordered_map<RegionKey, std::shared_ptr<const RegionCacheEntry>, RegionKeyHash>
+      regionCache_;
   mutable std::atomic<std::uint64_t> regionCacheHits_{0};
   mutable std::atomic<std::uint64_t> regionCacheMisses_{0};
   mutable std::atomic<std::uint64_t> regionCacheRevalidations_{0};

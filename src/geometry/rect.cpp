@@ -38,12 +38,6 @@ bool Rect::containsStrictly(const Rect& other) const {
   return other.lo_.x > lo_.x && other.hi_.x < hi_.x && other.lo_.y > lo_.y && other.hi_.y < hi_.y;
 }
 
-bool Rect::intersects(const Rect& other) const {
-  if (empty() || other.empty()) return false;
-  return lo_.x <= other.hi_.x && other.lo_.x <= hi_.x && lo_.y <= other.hi_.y &&
-         other.lo_.y <= hi_.y;
-}
-
 bool Rect::overlapsInterior(const Rect& other) const {
   if (empty() || other.empty()) return false;
   return lo_.x < other.hi_.x && other.lo_.x < hi_.x && lo_.y < other.hi_.y && other.lo_.y < hi_.y;

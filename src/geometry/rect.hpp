@@ -41,8 +41,13 @@ class Rect {
   [[nodiscard]] bool contains(const Rect& other) const;
   /// Strict containment: `other` is inside and does not touch the boundary.
   [[nodiscard]] bool containsStrictly(const Rect& other) const;
-  /// Closed-set intersection test (shared boundary counts).
-  [[nodiscard]] bool intersects(const Rect& other) const;
+  /// Closed-set intersection test (shared boundary counts); false when
+  /// either rect is empty. Inline, with the coordinate tests first: region
+  /// discovery runs it once per resident object, and most are disjoint.
+  [[nodiscard]] constexpr bool intersects(const Rect& other) const {
+    return lo_.x <= other.hi_.x && other.lo_.x <= hi_.x && lo_.y <= other.hi_.y &&
+           other.lo_.y <= hi_.y && !empty() && !other.empty();
+  }
   /// Interiors overlap (shared boundary alone does not count).
   [[nodiscard]] bool overlapsInterior(const Rect& other) const;
 

@@ -187,16 +187,17 @@ class SpatialDatabase {
   /// changes whenever the answer to "which objects could a region query ever
   /// involve" can have changed — on spatial-object insert/delete, on sensor
   /// (de)registration, and when a mobile object appears (first reading) or
-  /// disappears (its last stored reading is removed). Cross-object caches
-  /// (the Location Service's region population cache) key their candidate
-  /// discovery on it; per-object staleness is covered by readingsEpoch.
+  /// disappears (its last stored reading is removed). A structural version
+  /// for callers that cache catalog-derived answers; the Location Service's
+  /// region population cache does not need it (discovery runs on every poll
+  /// and per-object staleness is covered by readingsEpoch).
   [[nodiscard]] std::uint64_t catalogEpoch() const;
 
   [[nodiscard]] std::vector<util::MobileObjectId> knownMobileObjects() const;
 
   /// Mobile objects with at least one stored reading whose MBR intersects
-  /// `universeRect` — one pass over the store's published per-object
-  /// evidence boxes, the candidate-discovery primitive for region
+  /// `universeRect` — one scan of the store's packed per-object evidence
+  /// columns (unsorted), the candidate-discovery primitive for region
   /// population queries. The box is the union of the object's stored
   /// reading rects and is only recomputed on insert/expiry, so it is a
   /// conservative superset while readings age out lazily: discovery can

@@ -117,7 +117,7 @@ void ReadingStore::noteSensorTableChanged() {
       if (boundary == cur->nextExpiry) continue;
       auto next = std::make_shared<Snapshot>(*cur);
       next->nextExpiry = boundary;
-      storeSnap(*log, std::move(next));
+      storeSnap(*stripe, *log, *cur, std::move(next));
     }
   }
 }
@@ -129,13 +129,23 @@ ReadingStore::SnapshotPtr ReadingStore::loadSnap(const ObjectLog& log) {
   return log.snap;
 }
 
-void ReadingStore::storeSnap(ObjectLog& log, SnapshotPtr next) {
-  {
+void ReadingStore::storeSnap(Stripe& stripe, ObjectLog& log, const Snapshot& prev,
+                             SnapshotPtr next) {
+  // The box is a function of the readings, so the writer (which holds the
+  // object's writer mutex, the slot's only writer) knows the slot still
+  // holds unionBox(prev) without reading the column.
+  const geo::Rect box = unionBox(next->readings);
+  if (box == unionBox(prev.readings)) {
     std::unique_lock lock(log.snapMutex);
     log.snap.swap(next);
+  } else {
+    std::unique_lock column(stripe.columnMutex);
+    std::unique_lock lock(log.snapMutex);
+    log.snap.swap(next);
+    stripe.column[log.slot].box = box;
   }
   // `next` now holds the previous snapshot; its refcount drops (and the
-  // snapshot possibly frees) outside the slot lock.
+  // snapshot possibly frees) outside both locks.
 }
 
 ReadingStore::MetaTablePtr ReadingStore::loadMetas() const {
@@ -148,24 +158,25 @@ ReadingStore::Stripe& ReadingStore::stripeFor(const util::MobileObjectId& id) co
   return *stripes_[h % stripes_.size()];
 }
 
-ReadingStore::ObjectLog* ReadingStore::findLog(const util::MobileObjectId& id) const {
-  Stripe& stripe = stripeFor(id);
+ReadingStore::ObjectLog* ReadingStore::findLog(Stripe& stripe, const util::MobileObjectId& id) {
   std::shared_lock lock(stripe.mapMutex);
   auto it = stripe.logs.find(id);
   return it == stripe.logs.end() ? nullptr : it->second.get();
 }
 
-ReadingStore::ObjectLog& ReadingStore::obtainLog(const util::MobileObjectId& id) {
-  Stripe& stripe = stripeFor(id);
-  {
-    std::shared_lock lock(stripe.mapMutex);
-    auto it = stripe.logs.find(id);
-    if (it != stripe.logs.end()) return *it->second;
-  }
+ReadingStore::ObjectLog& ReadingStore::obtainLog(Stripe& stripe, const util::MobileObjectId& id) {
+  if (ObjectLog* log = findLog(stripe, id)) return *log;
   std::unique_lock lock(stripe.mapMutex);
-  auto& slot = stripe.logs[id];
-  if (!slot) slot = std::make_unique<ObjectLog>();
-  return *slot;
+  auto [it, inserted] = stripe.logs.try_emplace(id);
+  if (inserted) {
+    it->second = std::make_unique<ObjectLog>();
+    // The map node's key is stable (logs are never erased), so the slot
+    // can point at it instead of copying the id.
+    std::unique_lock column(stripe.columnMutex);
+    it->second->slot = stripe.column.size();
+    stripe.column.push_back(EvidenceSlot{geo::Rect{}, &it->first});
+  }
+  return *it->second;
 }
 
 std::unique_lock<std::mutex> ReadingStore::lockWriter(ObjectLog& log) const {
@@ -211,7 +222,8 @@ ReadingStore::AppendResult ReadingStore::append(const SensorReading& universeRea
   }
   const SensorMeta& meta = metaIt->second.meta;
 
-  ObjectLog& log = obtainLog(universeReading.mobileObjectId);
+  Stripe& stripe = stripeFor(universeReading.mobileObjectId);
+  ObjectLog& log = obtainLog(stripe, universeReading.mobileObjectId);
   std::unique_lock lock = lockWriter(log);
   SnapshotPtr old = loadSnap(log);
   const bool newObject = old->readings.empty();
@@ -237,7 +249,6 @@ ReadingStore::AppendResult ReadingStore::append(const SensorReading& universeRea
   next->readings.front().second.moving = moving;
   next->epoch = old->epoch + 1;
   next->nextExpiry = std::min(old->nextExpiry, expiryInstant(universeReading, meta));
-  next->box = unionBox(next->readings);
 
   log.historyRing.push_back(universeReading);
   const std::size_t capacity = historyCapacity_.load(std::memory_order_relaxed);
@@ -248,7 +259,7 @@ ReadingStore::AppendResult ReadingStore::append(const SensorReading& universeRea
   cell.lastReadingMs.store(universeReading.detectionTime.time_since_epoch().count(),
                            std::memory_order_relaxed);
 
-  storeSnap(log, std::move(next));
+  storeSnap(stripe, log, *old, std::move(next));
   return AppendResult{newObject};
 }
 
@@ -274,7 +285,8 @@ std::vector<ReadingStore::StoredReading> ReadingStore::freshReadings(
 
 std::uint64_t ReadingStore::epochOf(const util::MobileObjectId& id) const {
   const std::uint64_t metaEpoch = metaEpoch_.load(std::memory_order_acquire);
-  ObjectLog* log = findLog(id);
+  Stripe& stripe = stripeFor(id);
+  ObjectLog* log = findLog(stripe, id);
   if (log == nullptr) return metaEpoch;
   SnapshotPtr snap = loadSnap(*log);
   const util::TimePoint now = clock_.now();
@@ -295,7 +307,7 @@ std::uint64_t ReadingStore::epochOf(const util::MobileObjectId& id) const {
   next->epoch = cur->epoch + 1;
   next->nextExpiry = nextExpiryOf(next->readings, *metas, now);
   const std::uint64_t result = metaEpoch + next->epoch;
-  storeSnap(*log, std::move(next));
+  storeSnap(stripe, *log, *cur, std::move(next));
   return result;
 }
 
@@ -315,21 +327,23 @@ std::vector<util::MobileObjectId> ReadingStore::objectsIntersecting(
     const geo::Rect& universeRect) const {
   std::vector<util::MobileObjectId> out;
   for (const auto& stripe : stripes_) {
-    std::shared_lock lock(stripe->mapMutex);
-    for (const auto& [id, log] : stripe->logs) {
-      SnapshotPtr snap = loadSnap(*log);
-      if (!snap->box.empty() && snap->box.intersects(universeRect)) out.push_back(id);
+    std::shared_lock lock(stripe->columnMutex);
+    for (const EvidenceSlot& slot : stripe->column) {
+      // intersects() is false for an empty box (no stored readings).
+      if (slot.box.intersects(universeRect)) out.push_back(*slot.id);
     }
   }
   return out;
 }
 
 std::optional<geo::Rect> ReadingStore::evidenceBoxOf(const util::MobileObjectId& id) const {
-  const ObjectLog* log = findLog(id);
+  Stripe& stripe = stripeFor(id);
+  const ObjectLog* log = findLog(stripe, id);
   if (log == nullptr) return std::nullopt;
-  SnapshotPtr snap = loadSnap(*log);
-  if (snap->box.empty()) return std::nullopt;
-  return snap->box;
+  std::shared_lock lock(stripe.columnMutex);
+  const geo::Rect& box = stripe.column[log->slot].box;
+  if (box.empty()) return std::nullopt;
+  return box;
 }
 
 std::vector<SensorReading> ReadingStore::history(const util::MobileObjectId& id,
@@ -363,10 +377,11 @@ bool ReadingStore::dropObject(const util::MobileObjectId& id) {
   // Publishes an empty snapshot instead of erasing the map entry: readers
   // hold ObjectLog pointers past the stripe lock (logs are stable for the
   // store's lifetime), so erasure would dangle them. An emptied log is
-  // invisible to every read path — knownObjects and objectsIntersecting
-  // filter empty snapshots, freshReadings returns nothing — which is all
-  // "dropped" means.
-  ObjectLog* log = findLog(id);
+  // invisible to every read path — knownObjects filters empty snapshots,
+  // the emptied column slot never intersects, freshReadings returns
+  // nothing — which is all "dropped" means.
+  Stripe& stripe = stripeFor(id);
+  ObjectLog* log = findLog(stripe, id);
   if (log == nullptr) return false;
   std::lock_guard lock(log->writeMutex);
   SnapshotPtr cur = loadSnap(*log);
@@ -375,7 +390,7 @@ bool ReadingStore::dropObject(const util::MobileObjectId& id) {
   if (!cur->readings.empty()) {
     auto next = std::make_shared<Snapshot>();
     next->epoch = cur->epoch + 1;
-    storeSnap(*log, std::move(next));
+    storeSnap(stripe, *log, *cur, std::move(next));
   }
   return had;
 }
@@ -426,10 +441,9 @@ std::size_t ReadingStore::purgeExpired() {
       }
       if (next->readings.size() == cur->readings.size()) continue;
       next->epoch = cur->epoch + 1;
-      next->box = unionBox(next->readings);
       next->nextExpiry = nextExpiryOf(next->readings, *metas, now);
       if (next->readings.empty()) ++disappeared;
-      storeSnap(*log, std::move(next));
+      storeSnap(*stripe, *log, *cur, std::move(next));
     }
   }
   return disappeared;
@@ -438,7 +452,8 @@ std::size_t ReadingStore::purgeExpired() {
 bool ReadingStore::expireReadings(const util::MobileObjectId& object,
                                   const util::SensorId& sensor, bool& objectDisappeared) {
   objectDisappeared = false;
-  ObjectLog* log = findLog(object);
+  Stripe& stripe = stripeFor(object);
+  ObjectLog* log = findLog(stripe, object);
   if (log == nullptr) return false;
   std::lock_guard lock(log->writeMutex);
   SnapshotPtr cur = loadSnap(*log);
@@ -451,11 +466,10 @@ bool ReadingStore::expireReadings(const util::MobileObjectId& object,
     if (entry.first != sensor) next->readings.push_back(entry);
   }
   next->epoch = cur->epoch + 1;
-  next->box = unionBox(next->readings);
   MetaTablePtr metas = loadMetas();
   next->nextExpiry = nextExpiryOf(next->readings, *metas, clock_.now());
   objectDisappeared = next->readings.empty();
-  storeSnap(*log, std::move(next));
+  storeSnap(stripe, *log, *cur, std::move(next));
   return true;
 }
 

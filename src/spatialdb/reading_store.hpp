@@ -6,23 +6,35 @@
 //
 //   - a per-object writer mutex (serializes the multiple producers that may
 //     report the same object — adapters for different sensor technologies),
-//   - a *published* immutable snapshot: the per-sensor latest readings,
-//     their union evidence box, the object's readings epoch and its next
-//     TTL-expiry boundary. Writers build the next snapshot aside and swap
-//     the published pointer under a per-object reader/writer slot lock;
-//     readers pin the current snapshot under the shared side of that lock —
-//     a refcount bump, nanoseconds — and then work on immutable state with
-//     no lock held, no retry, and a consistent epoch-stamped view. (A raw
-//     std::atomic<shared_ptr> would make the pin wait-free, but libstdc++'s
-//     _Sp_atomic lock-bit protocol carries no TSan annotations, and a
-//     seqlock's racy reads TSan would rightly flag; the slot lock keeps the
-//     publication protocol provable under -DMW_SANITIZE=thread.)
+//   - a *published* immutable snapshot: the per-sensor latest readings, the
+//     object's readings epoch and its next TTL-expiry boundary. Writers
+//     build the next snapshot aside and swap the published pointer under a
+//     per-object reader/writer slot lock; readers pin the current snapshot
+//     under the shared side of that lock — a refcount bump, nanoseconds —
+//     and then work on immutable state with no lock held, no retry, and a
+//     consistent epoch-stamped view. (A raw std::atomic<shared_ptr> would
+//     make the pin wait-free, but libstdc++'s _Sp_atomic lock-bit protocol
+//     carries no TSan annotations, and a seqlock's racy reads TSan would
+//     rightly flag; the slot lock keeps the publication protocol provable
+//     under -DMW_SANITIZE=thread.)
+//
+// Each stripe also keeps a packed *evidence column*: one slot per ObjectLog
+// holding the object's evidence box (the union of its stored reading rects)
+// and a pointer to its id (the key of the stripe's map node, stable because
+// logs are never erased). The column is the box's only home. storeSnap, the
+// one publication helper, rewrites a slot only when the box changes, and then
+// holds the stripe's column lock across the snapshot swap, so the column and
+// the published snapshots always agree. Region discovery (objectsIntersecting)
+// and evidenceBoxOf read the column under its shared lock: a scan of ~40
+// contiguous bytes per resident object, with no per-object lock and no
+// refcount.
 //
 // Concurrent appends on different objects therefore never touch the same
-// lock: they meet only on their stripe's map mutex (shared mode, and only
-// to look the log up) and on disjoint cache lines otherwise. Readers
-// (fusion, region discovery) never hold a lock while a snapshot is in use,
-// so they cannot stall writers for longer than the pointer pin.
+// per-object lock: they meet only on their stripe's map mutex (shared mode,
+// and only to look the log up), on the stripe's column lock when their box
+// moves, and on disjoint cache lines otherwise. Readers (fusion, region
+// discovery) never hold a lock while a snapshot is in use, so they cannot
+// stall writers for longer than the pointer pin or one stripe's column scan.
 //
 // The sensor-metadata table lives here too, published copy-on-write as one
 // immutable map: the ingest hot path pins calibration/TTL with the same
@@ -116,17 +128,17 @@ class ReadingStore {
   /// reading, sorted.
   [[nodiscard]] std::vector<util::MobileObjectId> knownObjects() const;
 
-  /// Objects whose published evidence box intersects `universeRect` — one
-  /// non-blocking pass over the published snapshots (the box is the union of
-  /// the stored reading rects, recomputed on append/expiry, so it is a
-  /// conservative superset while readings age out lazily).
+  /// Objects whose evidence box intersects `universeRect` — one scan of each
+  /// stripe's packed evidence column under its shared lock (the box is the
+  /// union of the stored reading rects, recomputed on append/expiry, so it
+  /// is a conservative superset while readings age out lazily). Unsorted.
   [[nodiscard]] std::vector<util::MobileObjectId> objectsIntersecting(
       const geo::Rect& universeRect) const;
 
-  /// One object's published evidence box (union of its stored reading
-  /// rects); nullopt when the object has no stored readings. The same
-  /// conservative box objectsIntersecting scans — what a spatial router
-  /// needs to find the territory owner of an object's evidence.
+  /// One object's evidence box (union of its stored reading rects), read
+  /// from its column slot; nullopt when the object has no stored readings.
+  /// The same conservative box objectsIntersecting scans — what a spatial
+  /// router needs to find the territory owner of an object's evidence.
   [[nodiscard]] std::optional<geo::Rect> evidenceBoxOf(const util::MobileObjectId& id) const;
 
   /// Recent readings within `window` before now, oldest first (the history
@@ -189,9 +201,9 @@ class ReadingStore {
 
  private:
   /// Immutable once published; replaced wholesale on every mutation.
+  /// The evidence box is not part of it: it lives in the stripe's column.
   struct Snapshot {
     std::vector<std::pair<util::SensorId, StoredReading>> readings;  // one per sensor
-    geo::Rect box;  ///< union of reading rects (empty when no readings)
     std::uint64_t epoch = 0;
     util::TimePoint nextExpiry = util::TimePoint::max();
   };
@@ -204,11 +216,23 @@ class ReadingStore {
     mutable std::shared_mutex snapMutex;
     SnapshotPtr snap = std::make_shared<const Snapshot>();
     std::deque<SensorReading> historyRing;  ///< guarded by writeMutex
+    /// Index of the object's slot in its stripe's evidence column.
+    std::size_t slot = 0;
+  };
+
+  /// One evidence-column slot: the object's box (empty when it has no stored
+  /// readings) and its id, which is the key of its stripe's map node.
+  struct EvidenceSlot {
+    geo::Rect box;
+    const util::MobileObjectId* id = nullptr;
   };
 
   struct Stripe {
     mutable std::shared_mutex mapMutex;
     std::unordered_map<util::MobileObjectId, std::unique_ptr<ObjectLog>> logs;
+    /// Guards `column`; taken after mapMutex and before any snapMutex.
+    mutable std::shared_mutex columnMutex;
+    std::vector<EvidenceSlot> column;  ///< one slot per log, never shrinks
   };
 
   /// Mutable per-sensor activity cell, shared by every published table
@@ -231,16 +255,24 @@ class ReadingStore {
 
   /// Pins the published snapshot (shared slot lock, refcount bump only).
   [[nodiscard]] static SnapshotPtr loadSnap(const ObjectLog& log);
-  /// Publishes `next` (unique slot lock, pointer swap only).
-  static void storeSnap(ObjectLog& log, SnapshotPtr next);
+  /// Publishes `next` as the successor of `prev`, the snapshot the caller
+  /// (holding the object's writer mutex) built it from. When the evidence
+  /// box changes, the column slot is rewritten under the stripe's column
+  /// lock, held across the pointer swap; otherwise only the slot lock is
+  /// taken (unique, pointer swap only).
+  static void storeSnap(Stripe& stripe, ObjectLog& log, const Snapshot& prev, SnapshotPtr next);
   /// Pins the published sensor-metadata table.
   [[nodiscard]] MetaTablePtr loadMetas() const;
 
   [[nodiscard]] Stripe& stripeFor(const util::MobileObjectId& id) const;
-  /// The object's log, or nullptr when it was never written.
-  [[nodiscard]] ObjectLog* findLog(const util::MobileObjectId& id) const;
-  /// The object's log, created on first use.
-  [[nodiscard]] ObjectLog& obtainLog(const util::MobileObjectId& id);
+  /// The object's log in its stripe, or nullptr when it was never written.
+  [[nodiscard]] static ObjectLog* findLog(Stripe& stripe, const util::MobileObjectId& id);
+  [[nodiscard]] ObjectLog* findLog(const util::MobileObjectId& id) const {
+    return findLog(stripeFor(id), id);
+  }
+  /// The object's log in its stripe, created (with an empty column slot) on
+  /// first use.
+  [[nodiscard]] static ObjectLog& obtainLog(Stripe& stripe, const util::MobileObjectId& id);
   /// Locks the object's writer mutex, counting contention.
   [[nodiscard]] std::unique_lock<std::mutex> lockWriter(ObjectLog& log) const;
   [[nodiscard]] static geo::Rect unionBox(

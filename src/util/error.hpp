@@ -55,5 +55,10 @@ class TimeoutError : public TransportError {
 inline void require(bool cond, const std::string& what) {
   if (!cond) throw ContractError(what);
 }
+/// The same for a literal message: no std::string is built unless the check
+/// fails (hot paths such as SensorReading::rect() check on every call).
+inline void require(bool cond, const char* what) {
+  if (!cond) throw ContractError(what);
+}
 
 }  // namespace mw::util

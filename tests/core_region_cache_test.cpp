@@ -4,7 +4,10 @@
 // that actually changed. These tests pin the invalidation edges: member epoch
 // bumps, TTL expiry, sensor (de)registration, spatial-object insert/delete and
 // population appear/disappear, asserted through the hit/miss/revalidation
-// counters and the per-object fusion-cache counters underneath.
+// counters and the per-object fusion-cache counters underneath. A cached
+// population survives structural change: discovery runs on every poll, so a
+// poll after any of these edges is a hit whose revalidation count is the
+// number of members whose epoch moved (plus candidates new to the region).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -142,7 +145,7 @@ TEST(RegionCacheTest, TtlExpiryRevalidatesOnlyTheExpiredMember) {
   Fixture f;
   // Both of bob's legs matter: the badge reading expires at 2 s, the
   // Ubisense one keeps him in the population, so expiry changes his epoch
-  // without shrinking the population (no catalog move, no full rebuild).
+  // without shrinking the population (a hit that re-fuses bob alone).
   f.service.setFusionCacheTolerance(minutes(10));
   f.service.ingest(f.reading("ubi-1", "alice", {5, 5}));
   f.service.ingest(f.reading("ubi-1", "bob", {10, 10}));
@@ -165,10 +168,9 @@ TEST(RegionCacheTest, SpatialObjectInsertRebuildsWithoutRefusing) {
   f.service.ingest(f.reading("ubi-1", "bob", {10, 10}));
   (void)f.service.objectsInRegion(Fixture::roomA(), 0.5);
 
-  // A new spatial object moves the catalog epoch: the region cache must
-  // rebuild (a desk could carry a usage region, a room could re-shape the
-  // lattice) — but the per-object fused states are untouched, so the
-  // rebuild is served entirely from the first cache level.
+  // A new spatial object moves the catalog epoch but no member's readings
+  // epoch: the cached population still answers, with nothing re-fused and
+  // no trip to the first cache level.
   db::SpatialObjectRow desk;
   desk.id = util::SpatialObjectId{"desk-1"};
   desk.globPrefix = "SC";
@@ -179,16 +181,19 @@ TEST(RegionCacheTest, SpatialObjectInsertRebuildsWithoutRefusing) {
 
   f.resetAllCounters();
   auto population = f.service.objectsInRegion(Fixture::roomA(), 0.5);
-  EXPECT_EQ(f.service.regionCacheMisses(), 1u);
-  EXPECT_EQ(f.service.regionCacheHits(), 0u);
-  EXPECT_EQ(f.service.fusionCacheMisses(), 0u);  // epochs unchanged: L1 warm
-  EXPECT_EQ(f.service.fusionCacheHits(), 2u);
+  EXPECT_EQ(f.service.regionCacheMisses(), 0u);
+  EXPECT_EQ(f.service.regionCacheHits(), 1u);
+  EXPECT_EQ(f.service.regionCacheRevalidations(), 0u);  // no member epoch moved
+  EXPECT_EQ(f.service.fusionCacheMisses(), 0u);         // epochs unchanged: L1 warm
+  EXPECT_EQ(f.service.fusionCacheHits(), 0u);           // ... and not even consulted
   EXPECT_EQ(population.size(), 2u);
 
-  // Deleting it bumps the catalog again: one more rebuild, still no fusion.
+  // Deleting it bumps the catalog again: one more hit, still no fusion.
   ASSERT_TRUE(f.db.removeObject("SC", util::SpatialObjectId{"desk-1"}));
   (void)f.service.objectsInRegion(Fixture::roomA(), 0.5);
-  EXPECT_EQ(f.service.regionCacheMisses(), 2u);
+  EXPECT_EQ(f.service.regionCacheMisses(), 0u);
+  EXPECT_EQ(f.service.regionCacheHits(), 2u);
+  EXPECT_EQ(f.service.regionCacheRevalidations(), 0u);
   EXPECT_EQ(f.service.fusionCacheMisses(), 0u);
 }
 
@@ -199,14 +204,15 @@ TEST(RegionCacheTest, SensorDeregistrationForcesFullRefusion) {
   (void)f.service.objectsInRegion(Fixture::roomA(), 0.5);
 
   // Dropping a sensor changes the evidence model for every object (its
-  // readings must stop contributing), so the meta epoch shift invalidates
-  // both cache levels: full rebuild AND every member re-fused.
+  // readings must stop contributing), so the meta epoch shift moves every
+  // member's readings epoch: the poll is a hit that re-fuses every member.
   ASSERT_TRUE(f.db.deregisterSensor(SensorId{"badge-1"}));
   f.resetAllCounters();
   auto population = f.service.objectsInRegion(Fixture::roomA(), 0.5);
-  EXPECT_EQ(f.service.regionCacheMisses(), 1u);
-  EXPECT_EQ(f.service.regionCacheHits(), 0u);
-  EXPECT_EQ(f.service.fusionCacheMisses(), 2u);  // alice and bob both re-fuse
+  EXPECT_EQ(f.service.regionCacheMisses(), 0u);
+  EXPECT_EQ(f.service.regionCacheHits(), 1u);
+  EXPECT_EQ(f.service.regionCacheRevalidations(), 2u);  // both epochs moved
+  EXPECT_EQ(f.service.fusionCacheMisses(), 2u);         // alice and bob both re-fuse
   EXPECT_EQ(population.size(), 2u);
 
   EXPECT_FALSE(f.db.deregisterSensor(SensorId{"badge-1"}));  // already gone
@@ -217,13 +223,16 @@ TEST(RegionCacheTest, NewObjectAppearingInvalidates) {
   f.service.ingest(f.reading("ubi-1", "alice", {5, 5}));
   (void)f.service.objectsInRegion(Fixture::roomA(), 0.5);
 
-  // First reading for a new object grows the mobile population — a catalog
-  // move, because a cached "who is in room A" answer that predates dave can
-  // never contain him no matter how member epochs look.
+  // First reading for a new object grows the mobile population. A cached
+  // "who is in room A" answer that predates dave cannot contain him, but
+  // discovery runs on every poll: dave is found as a new candidate and fused
+  // alone, while alice (epoch unchanged) is reused — a hit, not a rebuild.
   f.service.ingest(f.reading("ubi-1", "dave", {8, 8}));
   f.resetAllCounters();
   auto population = f.service.objectsInRegion(Fixture::roomA(), 0.5);
-  EXPECT_EQ(f.service.regionCacheMisses(), 1u);
+  EXPECT_EQ(f.service.regionCacheMisses(), 0u);
+  EXPECT_EQ(f.service.regionCacheHits(), 1u);
+  EXPECT_EQ(f.service.regionCacheRevalidations(), 1u);  // dave, and only dave
   EXPECT_TRUE(contains(population, "dave"));
   EXPECT_TRUE(contains(population, "alice"));
 }

@@ -1,6 +1,6 @@
-// Catalog epoch + readings R-tree: the structural version that cross-object
-// caches (the region population cache) key on, and the evidence-box index
-// that candidate discovery runs over. Pins every bump site — spatial-object
+// Catalog epoch + evidence boxes: the structural version for callers that
+// cache catalog-derived answers, and the per-object evidence boxes that
+// candidate discovery scans. Pins every bump site — spatial-object
 // insert/delete, sensor (de)registration, mobile population appear/disappear
 // — and the conservative-superset contract of mobileObjectsIntersecting.
 #include "spatialdb/database.hpp"

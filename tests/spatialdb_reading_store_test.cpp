@@ -3,17 +3,26 @@
 // the epoch-publication protocol race-free), lazy TTL-expiry epoch bumps,
 // the shared sensor-table epoch path, the catalog/readings lock split (a
 // long catalog read must never block ingest), the batch-size-independent
-// ingest worker pool, and an oracle pinning sharded ingest to byte-identical
-// fusion results vs. the sequential path.
+// ingest worker pool, an oracle pinning sharded ingest to byte-identical
+// fusion results vs. the sequential path, and a seeded model check of the
+// packed evidence column behind region discovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <cstdio>
+#include <iterator>
+#include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/location_service.hpp"
+#include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace mw::core {
 namespace {
@@ -351,6 +360,232 @@ TEST(ReadingStoreTest, ShardedIngestMatchesSequentialOracle) {
     EXPECT_EQ(seqDb.readingsEpoch(person), parDb.readingsEpoch(person)) << person.str();
   }
   EXPECT_EQ(seqDb.catalogEpoch(), parDb.catalogEpoch());
+}
+
+// --- evidence column vs. a model -------------------------------------------------
+
+using SensorTtls = std::map<std::string, util::Duration>;
+
+/// What the evidence column must say, kept by the test from what it inserted,
+/// expired and dropped: every stored reading per object and sensor (lazy TTL
+/// expiry does not remove readings; purgeExpired and expireReadings do).
+class EvidenceModel {
+ public:
+  void append(const db::SensorReading& r) { stored_[r.mobileObjectId.str()][r.sensorId.str()] = r; }
+  void expire(const std::string& object, const std::string& sensor) {
+    auto it = stored_.find(object);
+    if (it == stored_.end()) return;
+    it->second.erase(sensor);
+    if (it->second.empty()) stored_.erase(it);
+  }
+  void drop(const std::string& object) { stored_.erase(object); }
+  /// purgeExpired: readings of unregistered sensors and readings older than
+  /// their sensor's TTL go.
+  void purge(const SensorTtls& registeredTtl, util::TimePoint now) {
+    for (auto it = stored_.begin(); it != stored_.end();) {
+      auto& perSensor = it->second;
+      for (auto r = perSensor.begin(); r != perSensor.end();) {
+        auto ttl = registeredTtl.find(r->first);
+        const bool orphaned = ttl == registeredTtl.end();
+        const bool gone = orphaned || now - r->second.detectionTime > ttl->second;
+        r = gone ? perSensor.erase(r) : std::next(r);
+      }
+      it = perSensor.empty() ? stored_.erase(it) : std::next(it);
+    }
+  }
+  /// Union of the stored reading rects; a zero-area union is inflated by
+  /// 1e-6 so it still intersects.
+  [[nodiscard]] std::optional<geo::Rect> boxOf(const std::string& object) const {
+    auto it = stored_.find(object);
+    if (it == stored_.end()) return std::nullopt;
+    geo::Rect box;
+    for (const auto& [_, r] : it->second) box = box.unionWith(r.rect());
+    if (box.area() == 0) box = box.inflated(1e-6);
+    return box;
+  }
+  [[nodiscard]] std::vector<std::string> intersecting(const geo::Rect& q) const {
+    std::vector<std::string> out;
+    for (const auto& [object, _] : stored_) {
+      if (boxOf(object)->intersects(q)) out.push_back(object);
+    }
+    return out;
+  }
+
+ private:
+  std::map<std::string, std::map<std::string, db::SensorReading>> stored_;
+};
+
+std::vector<std::string> sortedNames(const std::vector<MobileObjectId>& ids) {
+  std::vector<std::string> out;
+  out.reserve(ids.size());
+  for (const auto& id : ids) out.push_back(id.str());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(ReadingStoreTest, EvidenceColumnMatchesModelUnderRandomOps) {
+  constexpr int kObjects = 12;
+  constexpr int kSteps = 1500;
+  const geo::Rect universe = geo::Rect::fromOrigin({0, 0}, 100, 50);
+  const SensorTtls ttls{{"s0", sec(3)}, {"s1", sec(10)}, {"s2", msec(800)}};
+
+  for (const std::uint64_t seed : {1, 2, 3, 4}) {
+    std::printf("ReadingStoreTest model seed=%llu\n", static_cast<unsigned long long>(seed));
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    util::Rng rng{seed};
+    VirtualClock clock;
+    db::SpatialDatabase database(clock, universe, "SC");
+    SensorTtls registered;
+    auto registerSensor = [&](const std::string& id) {
+      db::SensorMeta meta;
+      meta.sensorId = SensorId{id};
+      meta.sensorType = "Ubisense";
+      meta.errorSpec = quality::ubisenseSpec(1.0);
+      meta.quality.ttl = ttls.at(id);
+      database.registerSensor(meta);
+      registered[id] = ttls.at(id);
+    };
+    for (const auto& [id, _] : ttls) registerSensor(id);
+    EvidenceModel model;
+
+    auto objectName = [&] { return "o" + std::to_string(rng.uniformInt(0, kObjects - 1)); };
+    auto sensorName = [&] { return "s" + std::to_string(rng.uniformInt(0, 2)); };
+    auto randomRect = [&] {
+      const geo::Point2 lo{rng.uniform(0, 95), rng.uniform(0, 45)};
+      return geo::Rect::fromOrigin(lo, rng.uniform(0, 30), rng.uniform(0, 20));
+    };
+
+    for (int step = 0; step < kSteps; ++step) {
+      const std::int64_t op = rng.uniformInt(0, 99);
+      std::string what;
+      if (op < 55) {  // append: a point reading, or a symbolic region (possibly degenerate)
+        db::SensorReading r;
+        r.sensorId = SensorId{sensorName()};
+        r.sensorType = "Ubisense";
+        r.mobileObjectId = MobileObjectId{objectName()};
+        r.location = {rng.uniform(0, 100), rng.uniform(0, 50)};
+        r.detectionRadius = rng.uniformInt(0, 2) * 1.5;
+        if (rng.uniformInt(0, 4) == 0) {
+          const geo::Point2 lo{rng.uniform(0, 90), rng.uniform(0, 40)};
+          r.symbolicRegion = geo::Rect::fromOrigin(lo, rng.uniformInt(0, 1) * 6.0, 4.0);
+        }
+        r.detectionTime = clock.now();
+        what = "append " + r.mobileObjectId.str() + "/" + r.sensorId.str();
+        if (registered.contains(r.sensorId.str())) {
+          database.insertReading(r);
+          model.append(r);
+        } else {
+          EXPECT_THROW(database.insertReading(r), mw::util::NotFoundError) << what;
+        }
+      } else if (op < 65) {
+        const std::string object = objectName();
+        const std::string sensor = sensorName();
+        what = "expire " + object + "/" + sensor;
+        database.expireReadings(MobileObjectId{object}, SensorId{sensor});
+        model.expire(object, sensor);
+      } else if (op < 70) {
+        what = "purge";
+        database.purgeExpired();
+        model.purge(registered, clock.now());
+      } else if (op < 75) {
+        const std::string object = objectName();
+        what = "drop " + object;
+        (void)database.dropMobileObject(MobileObjectId{object});
+        model.drop(object);
+      } else if (op < 80) {  // s2 flips between registered and not
+        if (registered.contains("s2")) {
+          what = "deregister s2";
+          ASSERT_TRUE(database.deregisterSensor(SensorId{"s2"}));
+          registered.erase("s2");
+        } else {
+          what = "register s2";
+          registerSensor("s2");
+        }
+      } else if (op < 90) {  // lazy TTL bump: republishes, box unchanged
+        const std::string object = objectName();
+        what = "epoch " + object;
+        (void)database.readingsEpoch(MobileObjectId{object});
+      } else {
+        what = "advance";
+        clock.advance(msec(rng.uniformInt(0, 1500)));
+      }
+
+      for (int o = 0; o < kObjects; ++o) {
+        const std::string object = "o" + std::to_string(o);
+        ASSERT_EQ(database.evidenceBoxOf(MobileObjectId{object}), model.boxOf(object))
+            << "step " << step << " after " << what << ", object " << object;
+      }
+      for (const geo::Rect& q : {universe, randomRect(), randomRect()}) {
+        ASSERT_EQ(sortedNames(database.mobileObjectsIntersecting(q)), model.intersecting(q))
+            << "step " << step << " after " << what << ", query " << q;
+      }
+    }
+  }
+}
+
+// Exercised under TSan/ASan in CI: writers move objects (and force-expire one
+// of two sensors) while polls scan the column. An object whose readings all
+// lie inside the query is returned by every poll, never missed mid-move.
+TEST(ReadingStoreTest, PollsAlwaysSeeObjectsMovingInsideTheQuery) {
+  Fixture f;
+  const geo::Rect q = geo::Rect::fromOrigin({10, 10}, 30, 30);
+  constexpr int kInsiders = 6;
+  constexpr int kRoamers = 6;
+  constexpr int kRounds = 300;
+  auto insider = [](int i) { return "in" + std::to_string(i); };
+  auto roamer = [](int i) { return "roam" + std::to_string(i); };
+  for (int i = 0; i < kInsiders; ++i) {
+    f.db.insertReading(f.read("ubi-1", insider(i).c_str(), {20, 20}));
+  }
+
+  std::atomic<int> writersLeft{2};
+  std::atomic<int> polls{0};
+  std::vector<std::thread> pollers;
+  for (int t = 0; t < 2; ++t) {
+    pollers.emplace_back([&] {
+      do {
+        const auto found = sortedNames(f.db.mobileObjectsIntersecting(q));
+        for (int i = 0; i < kInsiders; ++i) {
+          EXPECT_TRUE(std::binary_search(found.begin(), found.end(), insider(i)))
+              << insider(i) << " missing from a poll";
+          const auto box = f.db.evidenceBoxOf(MobileObjectId{insider(i)});
+          ASSERT_TRUE(box.has_value());
+          EXPECT_TRUE(q.contains(*box)) << insider(i) << " box " << *box;
+        }
+        polls.fetch_add(1, std::memory_order_relaxed);
+      } while (writersLeft.load(std::memory_order_acquire) > 0);
+    });
+  }
+  // Writers start once polls are running, so the writes overlap scans.
+  while (polls.load(std::memory_order_relaxed) < 2) std::this_thread::yield();
+
+  std::vector<std::thread> writers;
+  // Insider writer: both sensors stay inside q; ubi-2's reading comes and
+  // goes, ubi-1's never leaves.
+  writers.emplace_back([&] {
+    for (int round = 0; round < kRounds; ++round) {
+      for (int i = 0; i < kInsiders; ++i) {
+        const geo::Point2 where{12.0 + (round + i) % 26, 12.0 + (round * 3 + i) % 26};
+        f.db.insertReading(f.read(round % 2 ? "ubi-1" : "ubi-2", insider(i).c_str(), where));
+        if (round % 5 == 4) f.db.expireReadings(MobileObjectId{insider(i)}, SensorId{"ubi-2"});
+      }
+    }
+    writersLeft.fetch_sub(1, std::memory_order_release);
+  });
+  // Roamer writer: objects cross q's edges and get dropped and re-created.
+  writers.emplace_back([&] {
+    for (int round = 0; round < kRounds; ++round) {
+      for (int i = 0; i < kRoamers; ++i) {
+        const double x = (round * 7 + i * 13) % 100;
+        const double y = (round * 3 + i * 5) % 50;
+        f.db.insertReading(f.read("ubi-1", roamer(i).c_str(), {x, y}));
+        if (round % 7 == 6) (void)f.db.dropMobileObject(MobileObjectId{roamer(i)});
+      }
+    }
+    writersLeft.fetch_sub(1, std::memory_order_release);
+  });
+  for (auto& w : writers) w.join();
+  for (auto& p : pollers) p.join();
 }
 
 }  // namespace
