@@ -6,10 +6,13 @@
 // O(changed) claim is visible in the numbers, not just the wall clock.
 // BM_RegionDiscovery isolates candidate discovery: a small-region poll
 // against 10^3..10^5 resident objects, almost all of them elsewhere.
+// BM_IngestUnderDensityRule is the ingest side of a density rule: members
+// re-reporting inside its region must cost the same at 10^2..10^4 members.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/location_service.hpp"
 #include "sim/blueprint.hpp"
@@ -159,3 +162,55 @@ static void BM_RegionDiscovery(benchmark::State& state) {
   state.SetLabel(std::to_string(objects) + " resident, 10 m poll");
 }
 BENCHMARK(BM_RegionDiscovery)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// Ingest under one density rule: N objects inside one 200 m plaza, and each
+// reading re-reports the next member half a metre from its last fix. The
+// rule counts per-object inside edges, so a reading re-evaluates only its
+// own object and the per-reading cost stays flat in N. The count does not
+// change, so no callback runs; the label carries the count.
+static void BM_IngestUnderDensityRule(benchmark::State& state) {
+  const int members = static_cast<int>(state.range(0));
+  util::VirtualClock clock;
+  const geo::Rect universe = geo::Rect::fromOrigin({0, 0}, 1000, 1000);
+  db::SpatialDatabase database(clock, universe, "City");
+  db::SensorMeta meta;
+  meta.sensorId = util::SensorId{"gps"};
+  meta.sensorType = "GPS";
+  meta.errorSpec = quality::ubisenseSpec(1.0);
+  meta.scaleMisidentifyByArea = true;
+  meta.quality.ttl = util::minutes(10);
+  database.registerSensor(meta);
+  core::LocationService service(clock, database);
+  auto fix = [&](int member, geo::Point2 where) {
+    db::SensorReading r;
+    r.sensorId = meta.sensorId;
+    r.sensorType = "GPS";
+    r.mobileObjectId = util::MobileObjectId{"m" + std::to_string(member)};
+    r.location = where;
+    r.detectionRadius = 1.0;
+    r.detectionTime = clock.now();
+    return r;
+  };
+  util::Rng rng{11};
+  std::vector<geo::Point2> where(static_cast<std::size_t>(members));
+  for (int i = 0; i < members; ++i) {
+    where[i] = {rng.uniform(420, 580), rng.uniform(420, 580)};
+    service.ingest(fix(i, where[i]));
+  }
+  core::DensitySubscription rule;
+  rule.region = geo::Rect::fromOrigin({400, 400}, 200, 200);
+  rule.minProbability = 0.2;
+  rule.limit = static_cast<std::size_t>(members) + 1;
+  rule.callback = [](const core::DensityNotification&) {};
+  const std::size_t counted = service.subscribeDensity(std::move(rule)).initialCount;
+  int next = 0;
+  for (auto _ : state) {
+    geo::Point2& p = where[next];
+    p.x += p.x < 500 ? 0.5 : -0.5;
+    service.ingest(fix(next, p));
+    next = (next + 1) % members;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(std::to_string(counted) + " counted");
+}
+BENCHMARK(BM_IngestUnderDensityRule)->Arg(100)->Arg(1000)->Arg(10000);

@@ -10,9 +10,12 @@
 #                               cluster (corrected p99 per operation class)
 #
 # Each benchmark runs 5 repetitions (scripts/bench_compare.py gates on their
-# median), and the JSON context records the build's CMAKE_BUILD_TYPE and the
-# git sha (the "library_build_type" gbench writes describes libbenchmark,
-# not this project).
+# median), and the JSON context records the build's CMAKE_BUILD_TYPE, its
+# compiler id and version, and the git sha (the "library_build_type" gbench
+# writes describes libbenchmark, not this project). After each binary, its
+# host steal share (percent of all CPU time the hypervisor took from this
+# host during the run, from /proc/stat) is added to the same context as
+# host_steal_pct; it is only known once the run is over.
 #
 # Usage: scripts/bench_json.sh [build-dir] [out-dir]
 # Or via CMake: cmake --build build --target bench_json
@@ -22,9 +25,19 @@ BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-.}"
 REPO_DIR="$(cd "$(dirname "$0")/.." && pwd)"
 
-BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$BUILD_DIR/CMakeCache.txt" 2>/dev/null || true)"
+cache_value() {
+  sed -n "s/^$1:[A-Z]*=//p" "$BUILD_DIR/CMakeCache.txt" 2>/dev/null || true
+}
+BUILD_TYPE="$(cache_value CMAKE_BUILD_TYPE)"
+COMPILER="$(cache_value MW_CXX_COMPILER)"
 GIT_SHA="$(git -C "$REPO_DIR" rev-parse --short HEAD 2>/dev/null || true)"
-CONTEXT="build_type=${BUILD_TYPE:-unknown},git_sha=${GIT_SHA:-unknown}"
+CONTEXT="build_type=${BUILD_TYPE:-unknown},compiler=${COMPILER:-unknown},git_sha=${GIT_SHA:-unknown}"
+
+# "steal total" jiffies of the aggregate cpu line; the total sums its first
+# eight fields (user .. steal), as perfbench does.
+cpu_ticks() {
+  awk '$1 == "cpu" { t = 0; for (i = 2; i <= 9; ++i) t += $i; print $9, t; exit }' /proc/stat
+}
 
 run() {
   local bin="$1" out="$2"
@@ -32,9 +45,22 @@ run() {
     echo "bench_json.sh: missing $bin (build the bench targets first)" >&2
     exit 1
   fi
+  local before after
+  before="$(cpu_ticks)"
   "$bin" --benchmark_out="$out" --benchmark_out_format=json \
          --benchmark_min_time=0.05 --benchmark_repetitions=5 \
          --benchmark_context="$CONTEXT"
+  after="$(cpu_ticks)"
+  python3 - "$out" $before $after <<'PY'
+import json, sys
+path, s0, t0, s1, t1 = sys.argv[1], *map(int, sys.argv[2:])
+with open(path) as f:
+    doc = json.load(f)
+doc["context"]["host_steal_pct"] = "%.1f" % (100.0 * (s1 - s0) / max(1, t1 - t0))
+with open(path, "w") as f:
+    json.dump(doc, f, indent=2)
+    f.write("\n")
+PY
   echo "wrote $out"
 }
 

@@ -58,77 +58,152 @@ void LocationService::ingestOne(const db::SensorReading& reading) {
   // every rule currently tracking this object as inside (exit candidates —
   // a reading that no longer intersects a region must still drive that
   // region's falling edge). Cost is O(matched), never O(subscriptions).
+  // Density rules among them are the ones this reading may notify; which
+  // ones it re-counts follows from the object's whole evidence box.
   std::vector<cq::ProductionId> toEvaluate;
-  struct DensityEval {
-    cq::ProductionId id;
-    geo::Rect region;
-    double minProbability;
-  };
-  std::vector<DensityEval> densityEvals;
+  std::vector<MobileObjectId> due;
   bool anyPlain = false;
+  bool counted = false;
+  bool resync = false;
   {
     std::lock_guard lock(subsMutex_);
     subNet_.match(stored.rect(), object.str(), toEvaluate);
-    for (cq::ProductionId subId : toEvaluate) {
-      auto dit = densitySubs_.find(SubscriptionId{subId});
-      if (dit != densitySubs_.end()) {
-        densityEvals.push_back(
-            DensityEval{subId, dit->second.spec.region, dit->second.spec.minProbability});
-      } else {
-        anyPlain = true;
+    anyPlain = std::any_of(toEvaluate.begin(), toEvaluate.end(),
+                           [this](cq::ProductionId id) { return !subNet_.isCounting(id); });
+    if (subNet_.countingCount() > 0) {
+      const std::uint64_t revision = db_.evidenceRevision();
+      resync = revision != countingRevision_;
+      countingRevision_ = revision;
+      const util::TimePoint now = clock_.now();
+      while (!countingDue_.empty() && countingDue_.begin()->first <= now) {
+        due.push_back(countingDue_.begin()->second);
+        countingTracked_.erase(due.back());
+        countingDue_.erase(countingDue_.begin());
       }
+      const std::optional<geo::Rect> box = db_.evidenceBoxOf(object);
+      subNet_.matchCounting(box.value_or(geo::Rect{}), object.str(), countingScratch_);
+      counted = !countingScratch_.empty();
+      if (!counted) trackLocked(object, std::nullopt);
     }
   }
-  if (toEvaluate.empty()) return;
+  // Evidence that changed without a reading is re-counted before this
+  // reading's counts are read: out-of-band changes by one poll per rule,
+  // TTL boundaries (and degrading tdfs) by the objects that came due.
+  if (resync) resyncCounting();
+  recount(std::move(due));
+  if (!anyPlain && !counted) return;
 
-  // One fusion serves every subscription this reading touched (the insert
-  // bumped the epoch, so this recomputes exactly once).
-  std::shared_ptr<const fusion::FusedState> fused;
-  if (anyPlain) fused = fusedStateFor(object);
-  // Density rules poll their region population (the L2 cache makes this
-  // O(changed members)) with no service lock held — same lock discipline as
-  // the fusion above; the network sync below reconciles under subsMutex_.
-  std::vector<std::vector<std::string>> densityMembers;
-  densityMembers.reserve(densityEvals.size());
-  for (const DensityEval& d : densityEvals) {
-    auto population = objectsInRegion(d.region, d.minProbability);
-    std::vector<std::string> names;
-    names.reserve(population.size());
-    for (const auto& [member, probability] : population) names.push_back(member.str());
-    densityMembers.push_back(std::move(names));
-  }
+  // One fusion serves every subscription and counting rule this reading
+  // touched (the insert bumped the epoch, so this recomputes exactly once).
   std::vector<PendingNotification> notifications;
   std::vector<PendingDensityNotification> densityNotifications;
-  {
+  for (;;) {
+    const CountingEvidence evidence = readCountingEvidence(object, /*fuse=*/true);
     std::lock_guard lock(subsMutex_);
+    // Stale: the epoch moved since the read; re-read with the lock released.
+    if (counted && applyCountingLocked(evidence) != Recount::Applied) continue;
     // match() returns sorted ids, so evaluation (and notification) order is
     // deterministic for a given reading.
-    std::size_t di = 0;
     for (cq::ProductionId subId : toEvaluate) {
-      if (di < densityEvals.size() && densityEvals[di].id == subId) {
-        const cq::CountUpdate update = subNet_.syncInside(subId, densityMembers[di]);
-        ++di;
-        if (!update.changed && update.edge == cq::CountEdge::None) continue;
-        auto dit = densitySubs_.find(SubscriptionId{subId});
-        if (dit == densitySubs_.end()) continue;  // unsubscribed in the meantime
-        DensityNotification n;
-        n.id = SubscriptionId{subId};
-        n.region = dit->second.spec.region;
-        n.count = update.count;
-        n.limit = dit->second.spec.limit;
-        n.edge = update.edge;
-        n.object = object;
-        n.when = clock_.now();
-        densityNotifications.push_back(
-            PendingDensityNotification{dit->second.spec.callback, std::move(n)});
-      } else {
-        evaluateSubscriptionLocked(SubscriptionId{subId}, object, *fused, notifications);
+      auto dit = densitySubs_.find(SubscriptionId{subId});
+      if (dit == densitySubs_.end()) {
+        evaluateSubscriptionLocked(SubscriptionId{subId}, object, *evidence.fused, notifications);
+        continue;
       }
+      const cq::CountUpdate update = subNet_.reportCount(subId);
+      if (!update.changed && update.edge == cq::CountEdge::None) continue;
+      DensityNotification n;
+      n.id = SubscriptionId{subId};
+      n.region = dit->second.spec.region;
+      n.count = update.count;
+      n.limit = dit->second.spec.limit;
+      n.edge = update.edge;
+      n.object = object;
+      n.when = clock_.now();
+      densityNotifications.push_back(
+          PendingDensityNotification{dit->second.spec.callback, std::move(n)});
     }
+    break;
   }
   // Callbacks run with no locks held, so they may (un)subscribe or query.
   for (auto& pending : notifications) pending.callback(pending.notification);
   for (auto& pending : densityNotifications) pending.callback(pending.notification);
+}
+
+LocationService::CountingEvidence LocationService::readCountingEvidence(
+    const MobileObjectId& object, bool fuse) const {
+  // Epoch FIRST: the box and the fused state read after it belong to that
+  // epoch as long as it has not moved when the evidence is applied (every
+  // box change bumps the object's epoch).
+  CountingEvidence evidence{object, db_.readingsEpoch(object), db_.evidenceBoxOf(object),
+                            nullptr};
+  if (fuse) evidence.fused = fusedStateFor(object);
+  return evidence;
+}
+
+LocationService::Recount LocationService::applyCountingLocked(const CountingEvidence& evidence) {
+  if (db_.readingsEpoch(evidence.object) != evidence.epoch) return Recount::Stale;
+  const std::string& name = evidence.object.str();
+  subNet_.matchCounting(evidence.box.value_or(geo::Rect{}), name, countingScratch_);
+  bool touches = false;
+  for (cq::ProductionId id : countingScratch_) {
+    const DensitySubscription& spec = densitySubs_.at(SubscriptionId{id}).spec;
+    const bool hit = evidence.box && evidence.box->intersects(spec.region);
+    if (hit && !evidence.fused) return Recount::NeedsFusion;
+    touches = touches || hit;
+    subNet_.setInside(id, name,
+                      hit && engine_.probabilityInRegion(spec.region, *evidence.fused) >=
+                                 spec.minProbability);
+  }
+  trackLocked(evidence.object,
+              touches ? std::optional(db_.nextEvidenceChange(evidence.object)) : std::nullopt);
+  return Recount::Applied;
+}
+
+void LocationService::recount(std::vector<MobileObjectId> objects) {
+  std::sort(objects.begin(), objects.end());
+  objects.erase(std::unique(objects.begin(), objects.end()), objects.end());
+  for (const MobileObjectId& object : objects) {
+    bool fuse = false;
+    for (;;) {
+      const CountingEvidence evidence = readCountingEvidence(object, fuse);
+      std::lock_guard lock(subsMutex_);
+      const Recount result = applyCountingLocked(evidence);
+      if (result == Recount::Applied) break;
+      fuse = fuse || result == Recount::NeedsFusion;
+    }
+  }
+}
+
+void LocationService::resyncCounting() {
+  std::vector<geo::Rect> regions;
+  std::vector<MobileObjectId> objects;
+  {
+    std::lock_guard lock(subsMutex_);
+    for (const auto& [id, state] : densitySubs_) regions.push_back(state.spec.region);
+    for (const auto& [object, entry] : countingTracked_) objects.push_back(object);
+  }
+  for (const geo::Rect& region : regions) {
+    std::vector<MobileObjectId> found = db_.mobileObjectsIntersecting(region);
+    objects.insert(objects.end(), std::make_move_iterator(found.begin()),
+                   std::make_move_iterator(found.end()));
+  }
+  recount(std::move(objects));
+}
+
+void LocationService::trackLocked(const MobileObjectId& object,
+                                  std::optional<util::TimePoint> due) {
+  auto it = countingTracked_.find(object);
+  if (it == countingTracked_.end()) {
+    if (due) countingTracked_.emplace(object, countingDue_.emplace(*due, object));
+    return;
+  }
+  countingDue_.erase(it->second);
+  if (due) {
+    it->second = countingDue_.emplace(*due, object);
+  } else {
+    countingTracked_.erase(it);
+  }
 }
 
 void LocationService::ingestBatch(std::span<const db::SensorReading> readings) {
@@ -196,6 +271,16 @@ void LocationService::importBatch(std::span<const db::SensorReading> readings) {
   std::shared_lock gate(ingestGate_);
   for (const auto& reading : readings) db_.importReading(reading);
   importedReadings_.fetch_add(readings.size(), std::memory_order_relaxed);
+  {
+    std::lock_guard lock(subsMutex_);
+    if (subNet_.countingCount() == 0) return;
+  }
+  // An imported object may now count toward a density rule here: re-count
+  // it silently (no reading was observed here, so nothing notifies).
+  std::vector<MobileObjectId> objects;
+  objects.reserve(readings.size());
+  for (const auto& reading : readings) objects.push_back(reading.mobileObjectId);
+  recount(std::move(objects));
 }
 
 void LocationService::setIngestShards(std::size_t n) {
@@ -256,8 +341,11 @@ void LocationService::invalidateFusionCache() {
     fusionCache_.clear();
   }
   // Region populations carry probabilities derived from the dropped states
-  // (same engine configuration), so the L2 level flushes with the L1.
+  // (same engine configuration), so the L2 level flushes with the L1, and
+  // the density counts resync on the next ingest.
   invalidateRegionCache();
+  std::lock_guard lock(subsMutex_);
+  countingRevision_ = kUnsynced;
 }
 
 std::uint64_t LocationService::fusionCacheHits() const noexcept {
@@ -631,23 +719,23 @@ LocationService::DensityHandle LocationService::subscribeDensity(
   require(static_cast<bool>(subscription.callback),
           "LocationService::subscribeDensity: null callback");
   require(!subscription.region.empty(), "LocationService::subscribeDensity: empty region");
-  // Seed the rule's beta memory from the current population so the first
-  // notification reports a change, not the whole standing crowd. Polled
-  // before the production exists — an update racing the install is caught by
-  // the next reading that touches the region (level-triggered semantics, the
-  // same convergence TTL expiry relies on).
-  const auto population = objectsInRegion(subscription.region, subscription.minProbability);
-  std::vector<std::string> members;
-  members.reserve(population.size());
-  for (const auto& [member, probability] : population) members.push_back(member.str());
-
+  const geo::Rect region = subscription.region;
+  // Seeded under the lock, so no update interleaves with the seed and the
+  // first notification reports a change, not the whole standing crowd. The
+  // seed evaluates every object the region discovers, like a poll.
   std::lock_guard lock(subsMutex_);
+  // With no counting rule installed nothing is counted yet: the seed below
+  // is the whole counting state, current as of this revision.
+  if (subNet_.countingCount() == 0) countingRevision_ = db_.evidenceRevision();
   const SubscriptionId id = subIds_.next();
-  subNet_.installProduction(id.value(), subscription.region, std::nullopt);
+  subNet_.installProduction(id.value(), region, std::nullopt);
   subNet_.makeCounting(id.value(), subscription.limit);
-  const cq::CountUpdate seeded = subNet_.syncInside(id.value(), members);
   densitySubs_.emplace(id, DensitySubState{std::move(subscription)});
-  return DensityHandle{id, seeded.count};
+  for (const MobileObjectId& object : db_.mobileObjectsIntersecting(region)) {
+    while (applyCountingLocked(readCountingEvidence(object, true)) != Recount::Applied) {
+    }
+  }
+  return DensityHandle{id, subNet_.reportCount(id.value()).count};
 }
 
 bool LocationService::unsubscribe(SubscriptionId id) {
@@ -662,6 +750,10 @@ bool LocationService::unsubscribe(SubscriptionId id) {
   if (dit != densitySubs_.end()) {
     subNet_.removeProduction(id.value());
     densitySubs_.erase(dit);
+    if (subNet_.countingCount() == 0) {
+      countingTracked_.clear();
+      countingDue_.clear();
+    }
     return true;
   }
   return false;

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -75,8 +76,10 @@ struct DensityNotification {
 };
 
 /// An aggregate standing rule (crowd monitoring): maintain the population
-/// count of `region` — objects with fused P(inside) >= minProbability, as
-/// served by the region population cache — and notify on every count change.
+/// count of `region` — objects whose evidence box intersects it with fused
+/// P(inside) >= minProbability, exactly objectsInRegion's membership test —
+/// and notify when a reading that touches the rule finds the count changed
+/// (see LocationService::subscribeDensity).
 struct DensitySubscription {
   geo::Rect region;  ///< universe frame
   double minProbability = 0.5;
@@ -117,9 +120,12 @@ class LocationService {
 
   /// Replay path for handoff/replication imports: stores the readings
   /// (universe conversion, evidence boxes, epochs) but bypasses the ingest
-  /// tap AND the subscription/trigger machinery — an imported reading
-  /// already fired its notifications on the shard that first ingested it.
-  /// Shares the ingest gate, so a pauseIngest() window excludes imports too.
+  /// tap AND the notification machinery — an imported reading already fired
+  /// its notifications on the shard that first ingested it. Density counts
+  /// are state, not events: the imported objects are re-evaluated against
+  /// the counting rules silently, so a migrated object counts here before
+  /// the next reading that touches the rule reports it. Shares the ingest
+  /// gate, so a pauseIngest() window excludes imports too.
   void importBatch(std::span<const db::SensorReading> readings);
 
   /// Pre-apply interceptor for every ingest()/ingestBatch() call: the tap
@@ -295,12 +301,21 @@ class LocationService {
   util::SubscriptionId subscribe(Subscription subscription);
 
   /// Installs an aggregate standing rule as a counting node in the
-  /// continuous-query network: each affecting update syncs the rule's beta
-  /// memory from the region population cache (O(changed members)), fires the
-  /// callback on every count change and flags limit crossings. Returns the
-  /// id plus the population at subscribe time (seeded silently — no
-  /// callback); an update racing the installation converges the count on the
-  /// next reading that touches the region.
+  /// continuous-query network. The count is a sum of per-object inside
+  /// edges: a reading re-evaluates only its own object against the counting
+  /// rules its evidence box touches or that count it, so an update costs
+  /// O(rules the object touches), not O(region population). Evidence that
+  /// changes without a reading is re-evaluated before the next count is
+  /// read: objects whose box touches a counting rule are filed under their
+  /// next TTL boundary (every clock tick under a degrading tdf), imports
+  /// re-evaluate what they imported, and any other change (drop, forced
+  /// expiry, purge, sensor (de)registration, prior change) makes the next
+  /// ingest resync every counting rule from one poll. A rule notifies when a
+  /// reading's rect hits its region or it counted the reading's object, and
+  /// the count differs from the last one reported (or crosses the limit);
+  /// the count then equals objectsInRegion(region, minProbability).size().
+  /// Returns the id plus the population at subscribe time (seeded under the
+  /// subscription lock — no callback, and no update can interleave).
   struct DensityHandle {
     util::SubscriptionId id;
     std::size_t initialCount = 0;
@@ -522,6 +537,38 @@ class LocationService {
   /// Stores one reading and evaluates the subscriptions it touched — the
   /// unit of work shared by sequential ingest and every batch shard.
   void ingestOne(const db::SensorReading& reading);
+
+  // --- density-rule counting (subsMutex_ guards the tracking state) ---------
+
+  /// One object's evidence as the counting rules test it: the evidence box
+  /// discovery scans and (when requested) the fused state, read after
+  /// `epoch`. It may be applied only while the object's readings epoch still
+  /// equals `epoch`, so a stale evaluation never overwrites a newer one.
+  struct CountingEvidence {
+    util::MobileObjectId object;
+    std::uint64_t epoch = 0;
+    std::optional<geo::Rect> box;
+    std::shared_ptr<const fusion::FusedState> fused;
+  };
+  enum class Recount { Applied, Stale, NeedsFusion };
+  [[nodiscard]] CountingEvidence readCountingEvidence(const util::MobileObjectId& object,
+                                                      bool fuse) const;
+  /// Sets the object's inside edge on every counting rule matchCounting
+  /// returns — inside iff its box intersects the region and
+  /// P(inside) >= minProbability, objectsInRegion's test — and files it
+  /// under its next evidence change while its box touches a rule. Stale
+  /// when the epoch moved; NeedsFusion when a rule is hit and `fused` is
+  /// null.
+  Recount applyCountingLocked(const CountingEvidence& evidence);
+  /// Re-evaluates each object (duplicates once) against the counting rules
+  /// (subsMutex_ not held), retrying each until an evaluation applies.
+  void recount(std::vector<util::MobileObjectId> objects);
+  /// After an out-of-band evidence change: re-evaluates every tracked object
+  /// and every object a counting rule's region discovers (one discovery scan
+  /// per rule).
+  void resyncCounting();
+  /// Files a tracked object under `due`, or forgets it (nullopt).
+  void trackLocked(const util::MobileObjectId& object, std::optional<util::TimePoint> due);
   /// Evaluates one subscription against a fused state (subsMutex_ held);
   /// appends the callback to `out` instead of invoking it.
   void evaluateSubscriptionLocked(util::SubscriptionId id, const util::MobileObjectId& object,
@@ -579,6 +626,18 @@ class LocationService {
   /// the affected subscriptions — alpha hits plus exit candidates — so an
   /// ingest never scans the subscription table.
   cq::TriggerNetwork subNet_;
+  /// Objects whose evidence box touches a counting rule, one entry each,
+  /// keyed on the next instant their evidence changes without a reading
+  /// (db::SpatialDatabase::nextEvidenceChange); every ingest first
+  /// re-evaluates the entries that came due. Bounded by the tracked objects.
+  using DueQueue = std::multimap<util::TimePoint, util::MobileObjectId>;
+  DueQueue countingDue_;
+  std::unordered_map<util::MobileObjectId, DueQueue::iterator> countingTracked_;
+  /// The database evidence revision the counts reflect; a mismatch makes
+  /// the next ingest resync. kUnsynced forces one (a prior change).
+  static constexpr std::uint64_t kUnsynced = ~std::uint64_t{0};
+  std::uint64_t countingRevision_ = kUnsynced;
+  std::vector<cq::ProductionId> countingScratch_;  ///< applyCountingLocked's match set
 
   std::unordered_map<util::MobileObjectId, std::size_t> privacy_;
 

@@ -74,6 +74,10 @@ bool TriggerNetwork::removeProduction(ProductionId id) {
   } else {
     eraseFrom(alpha.anySubject);
   }
+  if (prod.counting) {
+    eraseFrom(alpha.counting);
+    --countingProductions_;
+  }
   if (--alpha.productionCount == 0) {
     alphaTree_.remove(alpha.region, prod.alphaSlot);
     alphaByRect_.erase(RectKey{alpha.region});
@@ -160,6 +164,8 @@ void TriggerNetwork::makeCounting(ProductionId id, std::size_t limit) {
   require(it->second.insideObjects.empty(),
           "TriggerNetwork::makeCounting: production already has edge state");
   it->second.counting = Counting{limit, 0, false};
+  alphas_[it->second.alphaSlot]->counting.push_back(id);
+  ++countingProductions_;
 }
 
 bool TriggerNetwork::isCounting(ProductionId id) const {
@@ -167,22 +173,29 @@ bool TriggerNetwork::isCounting(ProductionId id) const {
   return it != productions_.end() && it->second.counting.has_value();
 }
 
-CountUpdate TriggerNetwork::syncInside(ProductionId id, const std::vector<std::string>& members) {
+void TriggerNetwork::matchCounting(const geo::Rect& evidenceBox, const std::string& object,
+                                   std::vector<ProductionId>& out) const {
+  out.clear();
+  if (countingProductions_ == 0) return;
+  alphaTree_.search(evidenceBox, [&](const std::uint64_t& slot) {
+    const std::vector<ProductionId>& counting = alphas_[slot]->counting;
+    out.insert(out.end(), counting.begin(), counting.end());
+  });
+  auto insideIt = insideByObject_.find(object);
+  if (insideIt != insideByObject_.end()) {
+    for (ProductionId id : insideIt->second) {
+      if (productions_.at(id).counting) out.push_back(id);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+}
+
+CountUpdate TriggerNetwork::reportCount(ProductionId id) {
   auto it = productions_.find(id);
   if (it == productions_.end()) return {};  // removed concurrently with evaluation
   Production& prod = it->second;
-  require(prod.counting.has_value(), "TriggerNetwork::syncInside: not a counting production");
-
-  // Exits: members of the old set absent from the new one. Collected first
-  // so the erase loop does not invalidate the iteration.
-  const std::unordered_set<std::string> fresh(members.begin(), members.end());
-  std::vector<std::string> exits;
-  for (const std::string& object : prod.insideObjects) {
-    if (!fresh.contains(object)) exits.push_back(object);
-  }
-  for (const std::string& object : exits) setInside(id, object, false);
-  for (const std::string& object : fresh) setInside(id, object, true);
-
+  require(prod.counting.has_value(), "TriggerNetwork::reportCount: not a counting production");
   Counting& counting = *prod.counting;
   CountUpdate update;
   update.count = prod.insideObjects.size();

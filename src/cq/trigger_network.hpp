@@ -26,6 +26,11 @@
 // are proportional to the affected rules, so the per-update cost curve
 // stays flat as the rule count grows 10³ → 10⁶.
 //
+// Counting productions (density rules) reuse the same memory: a count is
+// the size of a production's inside set, moved one edge at a time, and
+// matchCounting() finds the counting productions one object's evidence box
+// touches or that count it — so a density rule also costs O(affected).
+//
 // Thread-safety: none — the owner (SpatialDatabase's trigger table lock,
 // LocationService's subscription mutex) synchronizes externally, which keeps
 // the network free of its own locking on the ingest hot path.
@@ -48,15 +53,15 @@ namespace mw::cq {
 /// subscription ids — whatever the owner sequences).
 using ProductionId = std::uint64_t;
 
-/// How a counting production's population relates to its limit after a sync,
-/// relative to the previous sync: Rose = crossed up to >= limit (the
-/// overcrowding alarm edge), Fell = dropped back below (all-clear).
+/// How a counting production's population relates to its limit at a
+/// report, relative to the previous report: Rose = crossed up to >= limit
+/// (the overcrowding alarm edge), Fell = dropped back below (all-clear).
 enum class CountEdge : std::uint8_t { None = 0, Rose = 1, Fell = 2 };
 
-/// Result of syncInside() on a counting production.
+/// Result of reportCount() on a counting production.
 struct CountUpdate {
-  std::size_t count = 0;             ///< members inside after the sync
-  bool changed = false;              ///< count differs from the previous sync
+  std::size_t count = 0;             ///< objects inside at the report
+  bool changed = false;              ///< count differs from the previous report
   CountEdge edge = CountEdge::None;  ///< limit crossing, if any
 };
 
@@ -96,22 +101,31 @@ class TriggerNetwork {
   /// unknown.
   [[nodiscard]] std::optional<geo::Rect> regionOf(ProductionId id) const;
 
-  /// Marks an installed production as a counting (aggregate) rule: its beta
-  /// memory holds the region's population set and syncInside() reports count
-  /// changes and crossings of `limit` ("alarm when density(region) >= k").
-  /// Must be called once, right after installProduction, before any edge
-  /// state accumulates; counting rules are region-wide (no subject).
+  /// Marks an installed production as a counting (aggregate) rule ("alarm
+  /// when density(region) >= k"): its count is the number of objects it
+  /// holds inside, moved one setInside() edge at a time by the owner as it
+  /// re-evaluates single objects, and reportCount() compares that count
+  /// with the previous report and with `limit`. Must be called once, right
+  /// after installProduction, before any edge state accumulates; counting
+  /// rules are region-wide (no subject).
   void makeCounting(ProductionId id, std::size_t limit);
   [[nodiscard]] bool isCounting(ProductionId id) const;
+  /// Counting productions installed; matchCounting() is empty when 0.
+  [[nodiscard]] std::size_t countingCount() const noexcept { return countingProductions_; }
 
-  /// Replaces a counting production's inside set with `members` wholesale
-  /// (the region population cache's current membership), updating the
-  /// reverse index pair-by-pair, and reports the resulting count and limit
-  /// crossing relative to the previous sync. O(|old| + |new|), so a sync
-  /// driven by the population cache stays O(affected). Returns a default
-  /// (unchanged, count 0) update for unknown ids — the production may have
-  /// been removed between match and evaluation.
-  CountUpdate syncInside(ProductionId id, const std::vector<std::string>& members);
+  /// The counting productions one object's re-evaluation must visit: those
+  /// whose region intersects the object's evidence box (it may be inside
+  /// them) plus those currently counting it (it may have left). Sorted and
+  /// deduplicated; `out` is cleared first. An empty box yields only the
+  /// second part. Shares the alpha R-tree with match().
+  void matchCounting(const geo::Rect& evidenceBox, const std::string& object,
+                     std::vector<ProductionId>& out) const;
+
+  /// The counting production's current count and its limit crossing
+  /// relative to the previous report, which this call then becomes.
+  /// O(1). Returns a default (unchanged, count 0) update for unknown ids —
+  /// the production may have been removed between match and evaluation.
+  CountUpdate reportCount(ProductionId id);
 
   [[nodiscard]] std::size_t productionCount() const noexcept { return productions_.size(); }
   /// Distinct region rects — the R-tree size; productionCount/alphaNodeCount
@@ -130,15 +144,18 @@ class TriggerNetwork {
   };
 
   /// One shared region test. `bySubject` holds subject-constrained
-  /// productions; `anySubject` the unconstrained ones.
+  /// productions; `anySubject` the unconstrained ones, and `counting` the
+  /// subset of those that count (for matchCounting).
   struct AlphaNode {
     geo::Rect region;
     std::vector<ProductionId> anySubject;
+    std::vector<ProductionId> counting;
     std::unordered_map<std::string, std::vector<ProductionId>> bySubject;
     std::size_t productionCount = 0;
   };
 
-  /// Aggregate state for counting productions (makeCounting).
+  /// Aggregate state for counting productions (makeCounting): the limit
+  /// and what the previous reportCount() returned.
   struct Counting {
     std::size_t limit = 0;
     std::size_t lastCount = 0;
@@ -169,6 +186,7 @@ class TriggerNetwork {
   /// object -> productions tracking it as inside (the exit-candidate set).
   std::unordered_map<std::string, std::unordered_set<ProductionId>> insideByObject_;
   std::size_t insidePairs_ = 0;
+  std::size_t countingProductions_ = 0;
 };
 
 }  // namespace mw::cq

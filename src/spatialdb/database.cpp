@@ -73,7 +73,6 @@ void SpatialDatabase::addObject(SpatialObjectRow row) {
   objectIndex_.emplace(std::move(key), slot);
   objectTree_.insert(box, static_cast<std::uint64_t>(slot));
   ++liveObjects_;
-  store_->bumpCatalogEpoch();
 }
 
 bool SpatialDatabase::removeObject(const std::string& globPrefix,
@@ -89,7 +88,6 @@ bool SpatialDatabase::removeObject(const std::string& globPrefix,
   objects_[slot].reset();
   objectIndex_.erase(it);
   --liveObjects_;
-  store_->bumpCatalogEpoch();
   return true;
 }
 
@@ -201,20 +199,14 @@ geo::Polygon SpatialDatabase::universePolygon(const SpatialObjectRow& row) const
 
 // --- sensor tables --------------------------------------------------------------
 
-void SpatialDatabase::noteSensorTableChanged() {
-  // The one shared epoch-bump path for every sensor-table mutation:
-  // calibration/TTL changes alter every cached confidence (meta epoch moves
-  // every object's readings epoch, expiry schedules are recomputed under the
-  // new TTLs) and reshape the answerable population (catalog epoch).
-  store_->noteSensorTableChanged();
-  store_->bumpCatalogEpoch();
-}
-
 void SpatialDatabase::registerSensor(SensorMeta meta) {
   require(!meta.sensorId.empty(), "SpatialDatabase::registerSensor: empty sensor id");
   meta.errorSpec.validate();
   store_->publishSensor(std::move(meta));
-  noteSensorTableChanged();
+  // Calibration/TTL changes alter every cached confidence: the meta epoch
+  // moves every object's readings epoch and the expiry schedules are
+  // recomputed under the new TTLs.
+  store_->noteSensorTableChanged();
 }
 
 bool SpatialDatabase::deregisterSensor(const util::SensorId& id) {
@@ -222,7 +214,7 @@ bool SpatialDatabase::deregisterSensor(const util::SensorId& id) {
   // read path (their metadata lookup fails), so each object's fusion inputs
   // change. Re-registration later bumps the epochs again.
   if (!store_->retireSensor(id)) return false;
-  noteSensorTableChanged();
+  store_->noteSensorTableChanged();
   return true;
 }
 
@@ -286,9 +278,7 @@ SensorReading SpatialDatabase::insertReadingImpl(SensorReading reading, bool fir
 
   // The append touches only the object's own stripe — never the catalog
   // lock — so concurrent inserts on different objects scale across cores.
-  const ReadingStore::AppendResult result = store_->append(reading);
-  // A first reading brings a new member into the tracked population.
-  if (result.newObject) store_->bumpCatalogEpoch();
+  store_->append(reading);
 
   // Triggers fire outside every lock so their callbacks may reenter the
   // database (and so concurrent shards never serialize on user code).
@@ -307,7 +297,11 @@ std::uint64_t SpatialDatabase::readingsEpoch(const util::MobileObjectId& id) con
   return store_->epochOf(id);
 }
 
-std::uint64_t SpatialDatabase::catalogEpoch() const { return store_->catalogEpoch(); }
+util::TimePoint SpatialDatabase::nextEvidenceChange(const util::MobileObjectId& id) const {
+  return store_->nextEvidenceChange(id);
+}
+
+std::uint64_t SpatialDatabase::evidenceRevision() const { return store_->evidenceRevision(); }
 
 std::vector<util::MobileObjectId> SpatialDatabase::mobileObjectsIntersecting(
     const geo::Rect& universeRect) const {
@@ -331,9 +325,7 @@ void SpatialDatabase::setHistoryCapacity(std::size_t perObject) {
   store_->setHistoryCapacity(perObject);
 }
 
-void SpatialDatabase::purgeExpired() {
-  if (store_->purgeExpired() > 0) store_->bumpCatalogEpoch();
-}
+void SpatialDatabase::purgeExpired() { store_->purgeExpired(); }
 
 std::vector<SensorReading> SpatialDatabase::exportObjectLog(
     const util::MobileObjectId& id) const {
@@ -341,16 +333,12 @@ std::vector<SensorReading> SpatialDatabase::exportObjectLog(
 }
 
 bool SpatialDatabase::dropMobileObject(const util::MobileObjectId& id) {
-  const bool had = store_->dropObject(id);
-  if (had) store_->bumpCatalogEpoch();  // the tracked population changed
-  return had;
+  return store_->dropObject(id);
 }
 
 void SpatialDatabase::expireReadings(const util::MobileObjectId& object,
                                      const util::SensorId& sensor) {
-  bool disappeared = false;
-  store_->expireReadings(object, sensor, disappeared);
-  if (disappeared) store_->bumpCatalogEpoch();
+  store_->expireReadings(object, sensor);
 }
 
 // --- triggers --------------------------------------------------------------------

@@ -126,8 +126,8 @@ class SpatialDatabase {
   void registerSensor(SensorMeta meta);
   /// Removes a sensor's calibration row. Its stored readings become invisible
   /// to readingsFor/fusion immediately (readings are interpreted through the
-  /// metadata table), every object's readings epoch moves, and the catalog
-  /// epoch is bumped. Returns false for unknown sensors.
+  /// metadata table), every object's readings epoch moves, and the evidence
+  /// revision is bumped. Returns false for unknown sensors.
   bool deregisterSensor(const util::SensorId& id);
   [[nodiscard]] std::optional<SensorMeta> sensorMeta(const util::SensorId& id) const;
   [[nodiscard]] std::size_t sensorCount() const;
@@ -183,15 +183,20 @@ class SpatialDatabase {
   /// Service keys its fusion cache on (object, epoch).
   [[nodiscard]] std::uint64_t readingsEpoch(const util::MobileObjectId& id) const;
 
-  /// The database's *catalog epoch*: a monotonically increasing counter that
-  /// changes whenever the answer to "which objects could a region query ever
-  /// involve" can have changed — on spatial-object insert/delete, on sensor
-  /// (de)registration, and when a mobile object appears (first reading) or
-  /// disappears (its last stored reading is removed). A structural version
-  /// for callers that cache catalog-derived answers; the Location Service's
-  /// region population cache does not need it (discovery runs on every poll
-  /// and per-object staleness is covered by readingsEpoch).
-  [[nodiscard]] std::uint64_t catalogEpoch() const;
+  /// The next instant at which the object's fusion inputs change without a
+  /// write: its next TTL boundary, or the next clock tick while one of its
+  /// fresh readings comes from a sensor whose tdf degrades with age. max()
+  /// when neither is pending. Read readingsEpoch first: the boundary comes
+  /// from the published snapshot, which the lazy TTL bump reschedules.
+  [[nodiscard]] util::TimePoint nextEvidenceChange(const util::MobileObjectId& id) const;
+
+  /// The *evidence revision*: a counter that moves whenever stored mobile
+  /// evidence changes other than by insertReading/importReading — on
+  /// dropMobileObject, expireReadings, a purgeExpired that removed
+  /// something, and sensor (de)registration. Appends and lazy TTL expiry do
+  /// not move it. The Location Service's density rules track appends and TTL
+  /// boundaries per object and resync from a poll when this moves.
+  [[nodiscard]] std::uint64_t evidenceRevision() const;
 
   [[nodiscard]] std::vector<util::MobileObjectId> knownMobileObjects() const;
 
@@ -229,8 +234,8 @@ class SpatialDatabase {
       const util::MobileObjectId& id) const;
 
   /// Removes everything stored about one mobile object (readings, history),
-  /// bumping the catalog epoch when it was tracked — the losing side of an
-  /// arc handoff purges moved objects so stale estimates cannot leak into
+  /// bumping the evidence revision when it had readings — the losing side of
+  /// a migration purges moved objects so stale estimates cannot leak into
   /// scatter-gather merges. Returns false when the object was unknown.
   bool dropMobileObject(const util::MobileObjectId& id);
 
@@ -268,10 +273,6 @@ class SpatialDatabase {
   [[nodiscard]] bool rowContains(const SpatialObjectRow& row, geo::Point2 universePoint) const;
   [[nodiscard]] std::optional<SpatialObjectRow> objectLocked(
       const std::string& globPrefix, const util::SpatialObjectId& id) const;
-  /// The single epoch-bump path for sensor-table changes: register and
-  /// deregister both go through here, so the meta epoch (every object's
-  /// reported readings epoch) and the catalog epoch can never drift apart.
-  void noteSensorTableChanged();
 
   const util::Clock& clock_;
   geo::Rect universe_;
@@ -290,8 +291,8 @@ class SpatialDatabase {
 
   /// Sensor readings, sensor metadata, per-object epochs, evidence boxes and
   /// history rings — everything the ingest hot path touches (see
-  /// reading_store.hpp). Also hosts the atomic catalog epoch so the
-  /// database stays movable.
+  /// reading_store.hpp). Also hosts the evidence revision, so the database
+  /// stays movable.
   std::unique_ptr<ReadingStore> store_;
 
   /// Trigger lock: the trigger table and its discrimination network.

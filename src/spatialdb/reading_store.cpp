@@ -120,6 +120,9 @@ void ReadingStore::noteSensorTableChanged() {
       storeSnap(*stripe, *log, *cur, std::move(next));
     }
   }
+  // Last, so a reader that sees the new revision also sees the new
+  // boundaries (nextEvidenceChange).
+  bumpEvidenceRevision();
 }
 
 // --- internals ----------------------------------------------------------------
@@ -213,7 +216,7 @@ util::TimePoint ReadingStore::nextExpiryOf(
 
 // --- appends ------------------------------------------------------------------
 
-ReadingStore::AppendResult ReadingStore::append(const SensorReading& universeReading) {
+void ReadingStore::append(const SensorReading& universeReading) {
   MetaTablePtr metas = loadMetas();
   auto metaIt = metas->find(universeReading.sensorId);
   if (metaIt == metas->end()) {
@@ -226,7 +229,6 @@ ReadingStore::AppendResult ReadingStore::append(const SensorReading& universeRea
   ObjectLog& log = obtainLog(stripe, universeReading.mobileObjectId);
   std::unique_lock lock = lockWriter(log);
   SnapshotPtr old = loadSnap(log);
-  const bool newObject = old->readings.empty();
 
   auto next = std::make_shared<Snapshot>();
   next->readings.reserve(old->readings.size() + 1);
@@ -260,7 +262,6 @@ ReadingStore::AppendResult ReadingStore::append(const SensorReading& universeRea
                            std::memory_order_relaxed);
 
   storeSnap(stripe, log, *old, std::move(next));
-  return AppendResult{newObject};
 }
 
 // --- snapshot reads -----------------------------------------------------------
@@ -309,6 +310,24 @@ std::uint64_t ReadingStore::epochOf(const util::MobileObjectId& id) const {
   const std::uint64_t result = metaEpoch + next->epoch;
   storeSnap(stripe, *log, *cur, std::move(next));
   return result;
+}
+
+util::TimePoint ReadingStore::nextEvidenceChange(const util::MobileObjectId& id) const {
+  const ObjectLog* log = findLog(id);
+  if (log == nullptr) return util::TimePoint::max();
+  SnapshotPtr snap = loadSnap(*log);
+  MetaTablePtr metas = loadMetas();
+  const util::TimePoint now = clock_.now();
+  for (const auto& [sensorId, stored] : snap->readings) {
+    auto metaIt = metas->find(sensorId);
+    if (metaIt == metas->end()) continue;
+    const quality::QualityProfile& quality = metaIt->second.meta.quality;
+    if (quality.expiredAt(now - stored.reading.detectionTime)) continue;
+    if (dynamic_cast<const quality::NoDegradation*>(quality.tdf.get()) == nullptr) {
+      return now + util::Duration{1};  // its confidence moves with every tick
+    }
+  }
+  return snap->nextExpiry;
 }
 
 std::vector<util::MobileObjectId> ReadingStore::knownObjects() const {
@@ -391,6 +410,7 @@ bool ReadingStore::dropObject(const util::MobileObjectId& id) {
     auto next = std::make_shared<Snapshot>();
     next->epoch = cur->epoch + 1;
     storeSnap(stripe, *log, *cur, std::move(next));
+    bumpEvidenceRevision();
   }
   return had;
 }
@@ -414,10 +434,10 @@ void ReadingStore::setHistoryCapacity(std::size_t perObject) {
 
 // --- maintenance --------------------------------------------------------------
 
-std::size_t ReadingStore::purgeExpired() {
+void ReadingStore::purgeExpired() {
   MetaTablePtr metas = loadMetas();
   const util::TimePoint now = clock_.now();
-  std::size_t disappeared = 0;
+  bool removed = false;
   for (const auto& stripe : stripes_) {
     std::vector<ObjectLog*> logs;
     {
@@ -442,16 +462,15 @@ std::size_t ReadingStore::purgeExpired() {
       if (next->readings.size() == cur->readings.size()) continue;
       next->epoch = cur->epoch + 1;
       next->nextExpiry = nextExpiryOf(next->readings, *metas, now);
-      if (next->readings.empty()) ++disappeared;
       storeSnap(*stripe, *log, *cur, std::move(next));
+      removed = true;
     }
   }
-  return disappeared;
+  if (removed) bumpEvidenceRevision();
 }
 
 bool ReadingStore::expireReadings(const util::MobileObjectId& object,
-                                  const util::SensorId& sensor, bool& objectDisappeared) {
-  objectDisappeared = false;
+                                  const util::SensorId& sensor) {
   Stripe& stripe = stripeFor(object);
   ObjectLog* log = findLog(stripe, object);
   if (log == nullptr) return false;
@@ -468,8 +487,8 @@ bool ReadingStore::expireReadings(const util::MobileObjectId& object,
   next->epoch = cur->epoch + 1;
   MetaTablePtr metas = loadMetas();
   next->nextExpiry = nextExpiryOf(next->readings, *metas, clock_.now());
-  objectDisappeared = next->readings.empty();
   storeSnap(stripe, *log, *cur, std::move(next));
+  bumpEvidenceRevision();
   return true;
 }
 

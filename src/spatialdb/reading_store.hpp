@@ -44,8 +44,10 @@
 //
 // Epoch discipline (unchanged from the locked implementation): the reported
 // readings epoch is metaEpoch + per-object epoch; the per-object epoch bumps
-// on append, forced expiry and lazy TTL expiry, and metaEpoch bumps on
-// sensor (de)registration via SpatialDatabase's shared sensor-change helper.
+// on append, drop, forced expiry, purge and lazy TTL expiry, and metaEpoch
+// bumps on sensor (de)registration (noteSensorTableChanged). Every change
+// but an append or a lazy TTL bump also moves the store-wide evidence
+// revision.
 #pragma once
 
 #include <atomic>
@@ -95,24 +97,19 @@ class ReadingStore {
   [[nodiscard]] std::size_t sensorCount() const;
   [[nodiscard]] std::optional<SensorActivity> activity(const util::SensorId& id) const;
 
-  /// Bumps the meta epoch (added into every object's reported epoch) and
-  /// reschedules every object's TTL-expiry boundary under the current
-  /// metadata table. SpatialDatabase's sensor-change helper is the only
-  /// caller, so register and deregister cannot drift apart.
+  /// Bumps the meta epoch (added into every object's reported epoch) and the
+  /// evidence revision, and reschedules every object's TTL-expiry boundary
+  /// under the current metadata table. SpatialDatabase calls it after every
+  /// register and deregister, so the two cannot drift apart.
   void noteSensorTableChanged();
 
   // --- appends (the ingest hot path) ----------------------------------------
 
-  struct AppendResult {
-    /// The object had no stored readings before this append (it entered the
-    /// tracked population — the caller bumps the catalog epoch).
-    bool newObject = false;
-  };
   /// Appends one universe-frame reading: derives the `moving` flag from the
   /// sensor's previous report, publishes a new snapshot with a bumped epoch,
   /// appends to the history ring and updates the sensor's activity counters.
   /// Throws NotFoundError for unregistered sensors.
-  AppendResult append(const SensorReading& universeReading);
+  void append(const SensorReading& universeReading);
 
   // --- snapshot reads (never block writers) ---------------------------------
 
@@ -123,6 +120,13 @@ class ReadingStore {
   /// past a stored reading's TTL boundary takes the object's writer lock,
   /// publishes a bumped snapshot exactly once and reschedules the boundary.
   [[nodiscard]] std::uint64_t epochOf(const util::MobileObjectId& id) const;
+
+  /// The next instant at which the object's fusion inputs change without a
+  /// write: its next TTL boundary, or the next clock tick while a fresh
+  /// reading comes from a sensor whose tdf degrades with age. max() when
+  /// neither is pending. The boundary is the published snapshot's, so it may
+  /// lie in the past until epochOf publishes the lazy TTL bump.
+  [[nodiscard]] util::TimePoint nextEvidenceChange(const util::MobileObjectId& id) const;
 
   /// Objects with at least one stored (possibly expired-but-unpurged)
   /// reading, sorted.
@@ -159,32 +163,28 @@ class ReadingStore {
   [[nodiscard]] std::vector<SensorReading> exportLog(const util::MobileObjectId& id) const;
 
   /// Erases everything stored about one object (log, snapshot, history) —
-  /// the losing side of an arc handoff. Returns false when unknown. The
-  /// caller is responsible for the catalog-epoch bump (SpatialDatabase
-  /// wraps this, same as append's newObject contract).
+  /// the losing side of an arc handoff. Returns false when unknown.
   bool dropObject(const util::MobileObjectId& id);
 
   // --- maintenance -----------------------------------------------------------
 
   /// Drops expired (or orphaned: sensor deregistered) readings eagerly.
-  /// Returns the number of objects whose last stored reading vanished.
-  std::size_t purgeExpired();
+  void purgeExpired();
 
   /// Force-expires all readings `sensor` made about `object` (§6.3 logout).
-  /// Returns true when a reading was removed; `objectDisappeared` is set
-  /// when it was the object's last one.
-  bool expireReadings(const util::MobileObjectId& object, const util::SensorId& sensor,
-                      bool& objectDisappeared);
+  /// Returns true when a reading was removed.
+  bool expireReadings(const util::MobileObjectId& object, const util::SensorId& sensor);
 
-  // --- catalog epoch ---------------------------------------------------------
+  // --- evidence revision -----------------------------------------------------
 
-  // The database's structural version counter lives here (not in
-  // SpatialDatabase) only so the database stays movable for snapshot
-  // restore; SpatialDatabase owns its semantics and is the only bumper.
-  [[nodiscard]] std::uint64_t catalogEpoch() const noexcept {
-    return catalogEpoch_.load(std::memory_order_acquire);
+  /// Moves whenever stored evidence changes other than by an append: a drop,
+  /// a forced expiry, a purge that removed something, or a sensor-table
+  /// change. Appends and lazy TTL bumps leave it alone; a reader that tracks
+  /// appends itself and schedules TTL boundaries (nextEvidenceChange) needs
+  /// to look at nothing else to stay exact.
+  [[nodiscard]] std::uint64_t evidenceRevision() const noexcept {
+    return evidenceRevision_.load(std::memory_order_acquire);
   }
-  void bumpCatalogEpoch() noexcept { catalogEpoch_.fetch_add(1, std::memory_order_acq_rel); }
 
   // --- contention / retry stats ----------------------------------------------
 
@@ -279,6 +279,9 @@ class ReadingStore {
       const std::vector<std::pair<util::SensorId, StoredReading>>& readings);
   /// Earliest future TTL boundary over `readings` under `metas` (max() when
   /// none is pending) — already-expired readings never expire "again".
+  void bumpEvidenceRevision() noexcept {
+    evidenceRevision_.fetch_add(1, std::memory_order_acq_rel);
+  }
   [[nodiscard]] static util::TimePoint nextExpiryOf(
       const std::vector<std::pair<util::SensorId, StoredReading>>& readings,
       const MetaTable& metas, util::TimePoint now);
@@ -295,7 +298,7 @@ class ReadingStore {
   mutable std::shared_mutex metaSlotMutex_;
   MetaTablePtr metas_ = std::make_shared<const MetaTable>();
   std::atomic<std::uint64_t> metaEpoch_{0};
-  std::atomic<std::uint64_t> catalogEpoch_{0};
+  std::atomic<std::uint64_t> evidenceRevision_{0};
   std::atomic<std::size_t> historyCapacity_{256};
 
   mutable std::atomic<std::uint64_t> writerContentions_{0};

@@ -111,6 +111,134 @@ TEST(ContinuousQueryNetworkTest, RemoveProductionCleansAlphaAndEdgeState) {
   EXPECT_THROW(net.installProduction(3, geo::Rect(), std::nullopt), util::ContractError);
 }
 
+TEST(ContinuousQueryNetworkTest, CountingRuleCountsInsideEdgesIncrementally) {
+  cq::TriggerNetwork net;
+  const auto plaza = geo::Rect::fromOrigin({0, 0}, 10, 10);
+  net.installProduction(5, plaza, std::nullopt);
+  net.makeCounting(5, 3);
+  EXPECT_TRUE(net.isCounting(5));
+  EXPECT_EQ(net.countingCount(), 1u);
+
+  cq::CountUpdate update = net.reportCount(5);
+  EXPECT_EQ(update.count, 0u);
+  EXPECT_FALSE(update.changed) << "nothing inside yet";
+
+  // Each edge moves the count by one; a report sees the change once.
+  net.setInside(5, "alice", true);
+  update = net.reportCount(5);
+  EXPECT_EQ(update.count, 1u);
+  EXPECT_TRUE(update.changed);
+  EXPECT_EQ(update.edge, cq::CountEdge::None);
+  EXPECT_FALSE(net.reportCount(5).changed) << "the previous report already saw it";
+
+  // Re-asserting an edge is idempotent; an enter and a leave between two
+  // reports cancel out.
+  net.setInside(5, "alice", true);
+  net.setInside(5, "bob", true);
+  net.setInside(5, "bob", false);
+  update = net.reportCount(5);
+  EXPECT_EQ(update.count, 1u);
+  EXPECT_FALSE(update.changed);
+  EXPECT_EQ(net.insideCount(), 1u);
+
+  net.setInside(5, "alice", false);
+  update = net.reportCount(5);
+  EXPECT_EQ(update.count, 0u);
+  EXPECT_TRUE(update.changed);
+  net.installProduction(6, plaza, std::nullopt);
+  EXPECT_THROW((void)net.reportCount(6), util::ContractError) << "a plain rule has no count";
+}
+
+TEST(ContinuousQueryNetworkTest, CountingEdgesAlternateRoseAndFell) {
+  cq::TriggerNetwork net;
+  net.installProduction(1, geo::Rect::fromOrigin({0, 0}, 10, 10), std::nullopt);
+  net.makeCounting(1, 2);
+  const std::vector<std::string> crowd{"a", "b", "c"};
+  std::vector<cq::CountEdge> edges;
+  // Fill to 3, drain to 0, fill again: the limit (2) is crossed up, down and
+  // up, and every other report carries no edge.
+  for (int round = 0; round < 3; ++round) {
+    for (const std::string& object : crowd) {
+      net.setInside(1, object, round % 2 == 0);
+      const cq::CountUpdate update = net.reportCount(1);
+      EXPECT_TRUE(update.changed);
+      if (update.edge != cq::CountEdge::None) edges.push_back(update.edge);
+      if (update.edge == cq::CountEdge::Rose) {
+        EXPECT_GE(update.count, 2u);
+      } else if (update.edge == cq::CountEdge::Fell) {
+        EXPECT_LT(update.count, 2u);
+      }
+    }
+  }
+  EXPECT_EQ(edges, (std::vector<cq::CountEdge>{cq::CountEdge::Rose, cq::CountEdge::Fell,
+                                               cq::CountEdge::Rose}));
+}
+
+TEST(ContinuousQueryNetworkTest, RemovingACountingRuleDropsItsEdgesAndMatches) {
+  cq::TriggerNetwork net;
+  const auto plaza = geo::Rect::fromOrigin({0, 0}, 10, 10);
+  net.installProduction(1, plaza, std::nullopt);
+  net.makeCounting(1, 1);
+  net.installProduction(2, plaza, std::nullopt);
+  net.makeCounting(2, 1);
+  net.setInside(1, "alice", true);
+  net.setInside(2, "alice", true);
+
+  std::vector<cq::ProductionId> counting;
+  net.matchCounting(geo::Rect{}, "alice", counting);
+  EXPECT_EQ(counting, (std::vector<cq::ProductionId>{1, 2})) << "counted by both";
+
+  EXPECT_TRUE(net.removeProduction(1));
+  EXPECT_EQ(net.countingCount(), 1u);
+  EXPECT_EQ(net.insideCount(), 1u);
+  net.matchCounting(geo::Rect::fromOrigin({1, 1}, 1, 1), "bob", counting);
+  EXPECT_EQ(counting, (std::vector<cq::ProductionId>{2})) << "the removed rule is unmatched";
+  net.matchCounting(geo::Rect{}, "alice", counting);
+  EXPECT_EQ(counting, (std::vector<cq::ProductionId>{2}));
+  EXPECT_EQ(net.reportCount(1).count, 0u) << "an unknown id reports nothing";
+
+  EXPECT_TRUE(net.removeProduction(2));
+  EXPECT_EQ(net.countingCount(), 0u);
+  EXPECT_EQ(net.insideCount(), 0u);
+  EXPECT_EQ(net.alphaNodeCount(), 0u);
+  net.matchCounting(plaza, "alice", counting);
+  EXPECT_TRUE(counting.empty());
+}
+
+TEST(ContinuousQueryNetworkTest, CountingRulesShareAlphaNodesWithPlainRules) {
+  cq::TriggerNetwork net;
+  const auto plaza = geo::Rect::fromOrigin({0, 0}, 10, 10);
+  net.installProduction(1, plaza, std::nullopt);
+  net.installProduction(2, plaza, std::string("alice"));
+  net.installProduction(3, plaza, std::nullopt);
+  net.makeCounting(3, 1);
+  net.installProduction(4, geo::Rect::fromOrigin({50, 50}, 10, 10), std::nullopt);
+  net.makeCounting(4, 1);
+  EXPECT_EQ(net.alphaNodeCount(), 2u) << "the plaza's counting rule reuses its node";
+
+  // match() serves plain and counting rules alike (the notify set) ...
+  std::vector<cq::ProductionId> matched;
+  net.match(geo::Rect::fromOrigin({1, 1}, 1, 1), "alice", matched);
+  EXPECT_EQ(matched, (std::vector<cq::ProductionId>{1, 2, 3}));
+  // ... while matchCounting() sees only the counting ones, by evidence box,
+  // plus the rules that count the object wherever its box now lies.
+  net.matchCounting(geo::Rect::fromOrigin({1, 1}, 1, 1), "alice", matched);
+  EXPECT_EQ(matched, (std::vector<cq::ProductionId>{3}));
+  net.matchCounting(geo::Rect::fromOrigin({5, 5}, 50, 50), "alice", matched);
+  EXPECT_EQ(matched, (std::vector<cq::ProductionId>{3, 4}));
+  net.setInside(1, "alice", true);
+  net.setInside(4, "alice", true);
+  net.matchCounting(geo::Rect::fromOrigin({1, 1}, 1, 1), "alice", matched);
+  EXPECT_EQ(matched, (std::vector<cq::ProductionId>{3, 4})) << "plain edges are not counting";
+
+  // Removing the plain rules keeps the node alive for the counting one.
+  EXPECT_TRUE(net.removeProduction(1));
+  EXPECT_TRUE(net.removeProduction(2));
+  EXPECT_EQ(net.alphaNodeCount(), 2u);
+  net.matchCounting(geo::Rect::fromOrigin({1, 1}, 1, 1), "bob", matched);
+  EXPECT_EQ(matched, (std::vector<cq::ProductionId>{3}));
+}
+
 // --- incremental Datalog vs scratch oracle ----------------------------------------
 
 using reasoning::Atom;

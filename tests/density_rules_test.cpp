@@ -1,16 +1,26 @@
 // Aggregate standing rules (subscribeDensity): incremental counting vs a
-// full-recompute oracle under churn, alarm edges, and wire/cluster parity is
-// covered by the continuous-query and cluster suites — this file is the
-// oracle equivalence the crowd-monitoring workload rests on.
+// full-recompute oracle under churn and under every evidence change that
+// arrives without a reading (TTL expiry, degrading tdfs, forced expiry,
+// drops, purges, sensor (de)registration, prior changes, imports), and
+// alarm edges. Wire/cluster parity is covered by the continuous-query and
+// cluster suites — this file is the oracle equivalence the crowd-monitoring
+// workload rests on.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
+#include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "citysim/city.hpp"
 #include "citysim/population.hpp"
 #include "core/location_service.hpp"
+#include "fusion/prior.hpp"
+#include "quality/error_model.hpp"
 #include "util/clock.hpp"
+#include "util/rng.hpp"
 
 using namespace mw;
 
@@ -163,4 +173,183 @@ TEST(DensityRules, UnsubscribeStopsNotifications) {
   reading.detectionTime = clock.now();
   service.ingest(reading);
   EXPECT_EQ(log.snapshot().size(), before);
+}
+
+namespace {
+
+struct ModelRule {
+  geo::Rect region;
+  double minProbability;
+  std::size_t limit;
+};
+
+db::SensorMeta modelSensor(const char* id, util::Duration ttl,
+                           std::shared_ptr<const quality::TemporalDegradation> tdf = nullptr) {
+  db::SensorMeta meta;
+  meta.sensorId = util::SensorId{id};
+  meta.sensorType = "Ubisense";
+  meta.errorSpec = quality::ubisenseSpec(1.0);
+  meta.quality.ttl = ttl;
+  if (tdf) meta.quality.tdf = std::move(tdf);
+  return meta;
+}
+
+}  // namespace
+
+// A seeded model run: random sequential ingest mixed with every change
+// that moves evidence without a reading. The oracle is the service's own
+// full poll. Every notification's count must equal objectsInRegion at that
+// instant, and after every step a probe reading at each rule's center must
+// reveal the count a fresh poll gives. Each seed is printed, and every
+// failure names its seed and step.
+TEST(DensityRules, SeededModelMatchesPollsThroughOutOfBandChanges) {
+  constexpr int kObjects = 14;
+  constexpr int kSteps = 500;
+  const geo::Rect universe = geo::Rect::fromOrigin({0, 0}, 100, 100);
+  const std::vector<ModelRule> rules{
+      {geo::Rect::fromOrigin({20, 20}, 30, 30), 0.4, 4},
+      {geo::Rect::fromOrigin({40, 30}, 30, 30), 0.2, 3},
+      {geo::Rect::fromOrigin({20, 20}, 30, 30), 0.2, 2},  // shares rule 0's alpha node
+      // minProbability 0: every object whose evidence box touches the region
+      // counts, so box changes alone (purge, drop, forced expiry) move it.
+      {geo::Rect::fromOrigin({10, 10}, 50, 50), 0.0, 6},
+  };
+  const auto degrading = std::make_shared<quality::LinearDegradation>(util::sec(20));
+
+  for (const std::uint64_t seed : {1, 2, 3, 4}) {
+    std::printf("DensityRules model seed=%llu\n", static_cast<unsigned long long>(seed));
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    util::Rng rng{seed};
+    util::VirtualClock clock;
+    db::SpatialDatabase database(clock, universe, "SC");
+    database.registerSensor(modelSensor("uwb", util::sec(6)));
+    database.registerSensor(modelSensor("gps", util::sec(15)));
+    database.registerSensor(modelSensor("rf", util::sec(10), degrading));  // due every tick
+    bool gpsRegistered = true;
+    bool priorInstalled = false;
+    core::LocationService service(clock, database);
+
+    auto objectName = [&] { return "o" + std::to_string(rng.uniformInt(0, kObjects - 1)); };
+    auto sensorName = [&] {
+      const char* sensors[] = {"uwb", "gps", "rf"};
+      const char* sensor = sensors[rng.uniformInt(0, 2)];
+      return std::string(!gpsRegistered && sensor == std::string("gps") ? "uwb" : sensor);
+    };
+    auto randomReading = [&](const std::string& object) {
+      db::SensorReading r;
+      r.sensorId = util::SensorId{sensorName()};
+      r.sensorType = "Ubisense";
+      r.globPrefix = "SC";
+      r.mobileObjectId = util::MobileObjectId{object};
+      r.location = rng.uniformInt(0, 9) < 7
+                       ? geo::Point2{rng.uniform(10, 80), rng.uniform(10, 80)}
+                       : geo::Point2{rng.uniform(0, 100), rng.uniform(0, 100)};
+      r.detectionRadius = rng.uniform(0.5, 6);
+      r.detectionTime = clock.now() - util::msec(rng.uniformInt(0, 4000));
+      return r;
+    };
+
+    // Some population before the rules exist, so the seed is exercised.
+    for (int i = 0; i < 20; ++i) service.ingest(randomReading(objectName()));
+
+    std::string step = "subscribe";
+    std::vector<std::size_t> reported(rules.size());
+    for (std::size_t i = 0; i < rules.size(); ++i) {
+      core::DensitySubscription sub;
+      sub.region = rules[i].region;
+      sub.minProbability = rules[i].minProbability;
+      sub.limit = rules[i].limit;
+      sub.callback = [&, i](const core::DensityNotification& n) {
+        EXPECT_EQ(n.count, service.objectsInRegion(n.region, rules[i].minProbability).size())
+            << "seed " << seed << ", " << step << ": rule " << i << " notified";
+        reported[i] = n.count;
+      };
+      reported[i] = service.subscribeDensity(std::move(sub)).initialCount;
+      ASSERT_EQ(reported[i], service.objectsInRegion(rules[i].region, rules[i].minProbability).size())
+          << "seed " << seed << ": rule " << i << " seeded";
+    }
+    // A plain subscription on rule 0's region shares its alpha node.
+    core::Subscription plain;
+    plain.region = rules[0].region;
+    plain.threshold = 0.3;
+    plain.callback = [](const core::Notification&) {};
+    service.subscribe(std::move(plain));
+
+    for (int s = 0; s < kSteps; ++s) {
+      const std::int64_t op = rng.uniformInt(0, 99);
+      std::string what;
+      if (op < 45) {
+        const db::SensorReading r = randomReading(objectName());
+        what = "ingest " + r.mobileObjectId.str() + "/" + r.sensorId.str();
+        step = "step " + std::to_string(s) + " (" + what + ")";
+        service.ingest(r);
+      } else if (op < 65) {
+        const util::Duration dt = util::msec(rng.uniformInt(0, 5000));
+        what = "advance " + std::to_string(dt.count()) + " ms";
+        clock.advance(dt);
+      } else if (op < 70) {
+        const std::string object = objectName();
+        const std::string sensor = sensorName();
+        what = "expire " + object + "/" + sensor;
+        database.expireReadings(util::MobileObjectId{object}, util::SensorId{sensor});
+      } else if (op < 74) {
+        const std::string object = objectName();
+        what = "drop " + object;
+        (void)database.dropMobileObject(util::MobileObjectId{object});
+      } else if (op < 78) {
+        what = "purge";
+        database.purgeExpired();
+      } else if (op < 82) {
+        if (gpsRegistered) {
+          what = "deregister gps";
+          ASSERT_TRUE(database.deregisterSensor(util::SensorId{"gps"}));
+        } else {
+          what = "register gps";
+          database.registerSensor(modelSensor("gps", util::sec(15)));
+        }
+        gpsRegistered = !gpsRegistered;
+      } else if (op < 85) {
+        priorInstalled = !priorInstalled;
+        what = priorInstalled ? "install prior" : "clear prior";
+        if (priorInstalled) {
+          auto prior = std::make_shared<fusion::RegionDwellPrior>(
+              universe, std::vector<fusion::RegionDwellPrior::Cell>{
+                            {"west", geo::Rect::fromOrigin({0, 0}, 40, 100)},
+                            {"east", geo::Rect::fromOrigin({40, 0}, 60, 100)}});
+          prior->observe("west", util::sec(30));
+          service.setMovementPrior(std::move(prior));
+        } else {
+          service.setMovementPrior(nullptr);
+        }
+      } else {
+        // A migration's gaining side: an existing or a brand-new object.
+        const std::string object = rng.uniformInt(0, 1) == 0
+                                       ? objectName()
+                                       : "m" + std::to_string(rng.uniformInt(0, 5));
+        std::vector<db::SensorReading> log;
+        for (std::int64_t i = rng.uniformInt(1, 3); i > 0; --i) log.push_back(randomReading(object));
+        what = "import " + object;
+        service.importBatch(log);
+      }
+
+      // Probe every rule: the reading hits the rule, so its count is read
+      // and reported if it changed since the last report.
+      for (std::size_t i = 0; i < rules.size(); ++i) {
+        step = "step " + std::to_string(s) + " (" + what + "), probe of rule " +
+               std::to_string(i);
+        db::SensorReading probe;
+        probe.sensorId = util::SensorId{"uwb"};
+        probe.sensorType = "Ubisense";
+        probe.globPrefix = "SC";
+        probe.mobileObjectId = util::MobileObjectId{"probe"};
+        probe.location = rules[i].region.center();
+        probe.detectionRadius = 0.5;
+        probe.detectionTime = clock.now();
+        service.ingest(probe);
+        ASSERT_EQ(reported[i],
+                  service.objectsInRegion(rules[i].region, rules[i].minProbability).size())
+            << "seed " << seed << ", " << step;
+      }
+    }
+  }
 }

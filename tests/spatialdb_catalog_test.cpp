@@ -1,8 +1,10 @@
-// Catalog epoch + evidence boxes: the structural version for callers that
-// cache catalog-derived answers, and the per-object evidence boxes that
-// candidate discovery scans. Pins every bump site — spatial-object
-// insert/delete, sensor (de)registration, mobile population appear/disappear
-// — and the conservative-superset contract of mobileObjectsIntersecting.
+// Mobile evidence discovery and the evidence revision: the per-object
+// evidence boxes that candidate discovery scans (appear/disappear is a
+// discovery answer, not a counter), the revision that moves on every
+// evidence change other than an append — drop, forced expiry, purge, sensor
+// (de)registration — and the next-evidence-change instant density rules
+// schedule on. Pins the conservative-superset contract of
+// mobileObjectsIntersecting.
 #include "spatialdb/database.hpp"
 
 #include <gtest/gtest.h>
@@ -58,40 +60,39 @@ bool lists(const std::vector<MobileObjectId>& ids, const char* person) {
   return std::find(ids.begin(), ids.end(), MobileObjectId{person}) != ids.end();
 }
 
-TEST(CatalogEpochTest, SpatialObjectInsertAndDeleteBump) {
+TEST(EvidenceDiscoveryTest, SpatialObjectRowsLeaveEvidenceAlone) {
   Fixture f;
-  const auto e0 = f.db.catalogEpoch();
+  f.db.insertReading(f.reading("alice", {5, 5}));
+  const auto r0 = f.db.evidenceRevision();
   f.db.addObject(f.room("roomA", geo::Rect::fromOrigin({0, 0}, 20, 20)));
-  const auto e1 = f.db.catalogEpoch();
-  EXPECT_GT(e1, e0);
   ASSERT_TRUE(f.db.removeObject("SC", util::SpatialObjectId{"roomA"}));
-  EXPECT_GT(f.db.catalogEpoch(), e1);
-  // Removing a row that is not there is not a structural change.
-  const auto e2 = f.db.catalogEpoch();
-  EXPECT_FALSE(f.db.removeObject("SC", util::SpatialObjectId{"roomA"}));
-  EXPECT_EQ(f.db.catalogEpoch(), e2);
+  // Catalog rows are not mobile evidence: nothing moves and discovery is
+  // unchanged.
+  EXPECT_EQ(f.db.evidenceRevision(), r0);
+  EXPECT_TRUE(lists(f.db.mobileObjectsIntersecting(geo::Rect::fromOrigin({0, 0}, 20, 20)),
+                    "alice"));
 }
 
-TEST(CatalogEpochTest, SensorRegistrationAndDeregistrationBump) {
+TEST(EvidenceDiscoveryTest, SensorRegistrationAndDeregistrationBump) {
   Fixture f;
-  const auto e0 = f.db.catalogEpoch();
+  const auto r0 = f.db.evidenceRevision();
   SensorMeta badge;
   badge.sensorId = SensorId{"badge-1"};
   badge.sensorType = "Badge";
   badge.errorSpec = quality::ubisenseSpec(1.0);
   badge.quality.ttl = sec(5);
   f.db.registerSensor(badge);
-  const auto e1 = f.db.catalogEpoch();
-  EXPECT_GT(e1, e0);
+  const auto r1 = f.db.evidenceRevision();
+  EXPECT_GT(r1, r0);
 
   EXPECT_TRUE(f.db.deregisterSensor(SensorId{"badge-1"}));
-  EXPECT_GT(f.db.catalogEpoch(), e1);
-  const auto e2 = f.db.catalogEpoch();
+  EXPECT_GT(f.db.evidenceRevision(), r1);
+  const auto r2 = f.db.evidenceRevision();
   EXPECT_FALSE(f.db.deregisterSensor(SensorId{"badge-1"}));
-  EXPECT_EQ(f.db.catalogEpoch(), e2);
+  EXPECT_EQ(f.db.evidenceRevision(), r2);
 }
 
-TEST(CatalogEpochTest, DeregistrationBumpsEveryObjectsReadingsEpoch) {
+TEST(EvidenceDiscoveryTest, DeregistrationBumpsEveryObjectsReadingsEpoch) {
   Fixture f;
   f.db.insertReading(f.reading("alice", {5, 5}));
   const auto alice = f.db.readingsEpoch(MobileObjectId{"alice"});
@@ -100,28 +101,73 @@ TEST(CatalogEpochTest, DeregistrationBumpsEveryObjectsReadingsEpoch) {
   EXPECT_NE(f.db.readingsEpoch(MobileObjectId{"alice"}), alice);
 }
 
-TEST(CatalogEpochTest, PopulationGrowthBumpsOncePerNewObject) {
+TEST(EvidenceDiscoveryTest, NewObjectsAreDiscoveredWithoutARevisionBump) {
   Fixture f;
-  const auto e0 = f.db.catalogEpoch();
+  const geo::Rect everywhere = geo::Rect::fromOrigin({0, 0}, 100, 50);
+  EXPECT_TRUE(f.db.mobileObjectsIntersecting(everywhere).empty());
+  const auto r0 = f.db.evidenceRevision();
   f.db.insertReading(f.reading("alice", {5, 5}));
-  const auto e1 = f.db.catalogEpoch();
-  EXPECT_GT(e1, e0);  // first-ever reading for alice: population grew
-  // A later reading for the same object moves HER epoch, not the catalog.
+  // Appearing is found by discovery itself; appends never move the
+  // revision, whether an object's first reading or a later one.
+  EXPECT_TRUE(lists(f.db.mobileObjectsIntersecting(everywhere), "alice"));
   f.db.insertReading(f.reading("alice", {6, 6}));
-  EXPECT_EQ(f.db.catalogEpoch(), e1);
+  EXPECT_EQ(f.db.mobileObjectsIntersecting(everywhere).size(), 1u);
+  EXPECT_EQ(f.db.evidenceRevision(), r0);
 }
 
-TEST(CatalogEpochTest, PopulationShrinkOnPurgeBumps) {
+TEST(EvidenceDiscoveryTest, PurgeDropAndForcedExpiryDisappearAndBump) {
   Fixture f;
+  const geo::Rect everywhere = geo::Rect::fromOrigin({0, 0}, 100, 50);
   f.db.insertReading(f.reading("alice", {5, 5}));
-  const auto e0 = f.db.catalogEpoch();
+  f.db.insertReading(f.reading("bob", {45, 5}));
+  f.db.insertReading(f.reading("carol", {80, 5}));
+
+  auto r = f.db.evidenceRevision();
+  f.db.purgeExpired();  // nothing expired: no change, no bump
+  EXPECT_EQ(f.db.evidenceRevision(), r);
+
+  ASSERT_TRUE(f.db.dropMobileObject(MobileObjectId{"bob"}));
+  EXPECT_GT(f.db.evidenceRevision(), r);
+  EXPECT_FALSE(lists(f.db.mobileObjectsIntersecting(everywhere), "bob"));
+
+  r = f.db.evidenceRevision();
+  f.db.expireReadings(MobileObjectId{"carol"}, SensorId{"ubi-1"});
+  EXPECT_GT(f.db.evidenceRevision(), r);
+  EXPECT_FALSE(lists(f.db.mobileObjectsIntersecting(everywhere), "carol"));
+
+  r = f.db.evidenceRevision();
   f.clock.advance(sec(60));  // far past the 30 s TTL
   f.db.purgeExpired();
-  EXPECT_GT(f.db.catalogEpoch(), e0);
-  EXPECT_TRUE(f.db.mobileObjectsIntersecting(geo::Rect::fromOrigin({0, 0}, 100, 50)).empty());
+  EXPECT_GT(f.db.evidenceRevision(), r);
+  EXPECT_TRUE(f.db.mobileObjectsIntersecting(everywhere).empty());
 }
 
-TEST(CatalogEpochTest, MobileObjectsIntersectingFindsEvidenceBoxes) {
+TEST(EvidenceDiscoveryTest, NextEvidenceChangeIsTheTtlBoundaryOrTheNextTick) {
+  Fixture f;
+  const MobileObjectId alice{"alice"};
+  EXPECT_EQ(f.db.nextEvidenceChange(alice), util::TimePoint::max());  // unknown
+  f.db.insertReading(f.reading("alice", {5, 5}));
+  // A constant tdf changes nothing until the reading outlives its TTL.
+  EXPECT_EQ(f.db.nextEvidenceChange(alice), f.clock.now() + sec(30) + util::Duration{1});
+
+  SensorMeta rf;
+  rf.sensorId = SensorId{"rf-1"};
+  rf.sensorType = "RF";
+  rf.errorSpec = quality::ubisenseSpec(1.0);
+  rf.quality.ttl = sec(10);
+  rf.quality.tdf = std::make_shared<quality::LinearDegradation>(sec(20));
+  f.db.registerSensor(rf);
+  f.db.insertReading(f.reading("alice", {6, 5}, "rf-1"));
+  // A degrading sensor's confidence moves with every tick.
+  EXPECT_EQ(f.db.nextEvidenceChange(alice), f.clock.now() + util::Duration{1});
+  // Once that reading expired, only the constant one's boundary is left.
+  f.clock.advance(sec(11));
+  (void)f.db.readingsEpoch(alice);  // publishes the lazy TTL bump
+  EXPECT_EQ(f.db.nextEvidenceChange(alice), f.clock.now() - sec(11) + sec(30) +
+                                                util::Duration{1});
+}
+
+TEST(EvidenceDiscoveryTest, MobileObjectsIntersectingFindsEvidenceBoxes) {
   Fixture f;
   f.db.insertReading(f.reading("alice", {5, 5}));
   f.db.insertReading(f.reading("bob", {45, 5}));
@@ -141,7 +187,7 @@ TEST(CatalogEpochTest, MobileObjectsIntersectingFindsEvidenceBoxes) {
   EXPECT_TRUE(lists(f.db.mobileObjectsIntersecting(roomA), "bob"));
 }
 
-TEST(CatalogEpochTest, StaleEvidenceKeepsCandidatesUntilStorageExpiry) {
+TEST(EvidenceDiscoveryTest, StaleEvidenceKeepsCandidatesUntilStorageExpiry) {
   Fixture f;
   f.db.insertReading(f.reading("alice", {5, 5}));
   f.clock.advance(sec(60));  // reading is past TTL but still stored

@@ -239,12 +239,15 @@ TEST(ReadingStoreTest, TtlExpiryBumpsEpochLazilyExactlyOnce) {
   EXPECT_TRUE(f.db.readingsFor(person).empty());
 
   // The stale evidence is still stored (lazy purge), so the object remains
-  // discoverable until purgeExpired removes it and moves the catalog epoch.
-  EXPECT_EQ(f.db.knownMobileObjects().size(), 1u);
-  const std::uint64_t catalog = f.db.catalogEpoch();
+  // discoverable until purgeExpired removes it and moves the evidence
+  // revision. The lazy bump itself left the revision alone.
+  const geo::Rect around = geo::Rect::fromOrigin({0, 0}, 20, 20);
+  EXPECT_EQ(f.db.mobileObjectsIntersecting(around).size(), 1u);
+  const std::uint64_t revision = f.db.evidenceRevision();
   f.db.purgeExpired();
+  EXPECT_TRUE(f.db.mobileObjectsIntersecting(around).empty());
   EXPECT_TRUE(f.db.knownMobileObjects().empty());
-  EXPECT_EQ(f.db.catalogEpoch(), catalog + 1);
+  EXPECT_EQ(f.db.evidenceRevision(), revision + 1);
 }
 
 // --- sensor-table epoch discipline (shared helper regression) ------------------
@@ -255,10 +258,11 @@ TEST(ReadingStoreTest, RegisterAndDeregisterShareOneEpochPath) {
   f.db.insertReading(f.read("ubi-1", "alice", {5, 5}));
 
   const std::uint64_t e0 = f.db.readingsEpoch(person);
-  const std::uint64_t c0 = f.db.catalogEpoch();
+  const std::uint64_t c0 = f.db.evidenceRevision();
 
-  // Registration goes through the shared sensor-change helper: one readings
-  // epoch bump (calibration shifts every confidence) AND one catalog bump.
+  // Registration goes through the shared sensor-change path: one readings
+  // epoch bump (calibration shifts every confidence) AND one evidence
+  // revision bump.
   db::SensorMeta extra;
   extra.sensorId = SensorId{"ubi-3"};
   extra.sensorType = "Ubisense";
@@ -266,17 +270,17 @@ TEST(ReadingStoreTest, RegisterAndDeregisterShareOneEpochPath) {
   extra.quality.ttl = sec(30);
   f.db.registerSensor(extra);
   EXPECT_EQ(f.db.readingsEpoch(person), e0 + 1);
-  EXPECT_EQ(f.db.catalogEpoch(), c0 + 1);
+  EXPECT_EQ(f.db.evidenceRevision(), c0 + 1);
 
   // Deregistration must take the exact same path — identical deltas.
   ASSERT_TRUE(f.db.deregisterSensor(SensorId{"ubi-3"}));
   EXPECT_EQ(f.db.readingsEpoch(person), e0 + 2);
-  EXPECT_EQ(f.db.catalogEpoch(), c0 + 2);
+  EXPECT_EQ(f.db.evidenceRevision(), c0 + 2);
 
   // Unknown sensors bump nothing.
   EXPECT_FALSE(f.db.deregisterSensor(SensorId{"ubi-3"}));
   EXPECT_EQ(f.db.readingsEpoch(person), e0 + 2);
-  EXPECT_EQ(f.db.catalogEpoch(), c0 + 2);
+  EXPECT_EQ(f.db.evidenceRevision(), c0 + 2);
 
   // Deregistering a sensor with stored readings hides them immediately.
   f.db.insertReading(f.read("ubi-2", "alice", {6, 5}));
@@ -359,7 +363,8 @@ TEST(ReadingStoreTest, ShardedIngestMatchesSequentialOracle) {
     EXPECT_EQ(a->discarded, b->discarded) << person.str();
     EXPECT_EQ(seqDb.readingsEpoch(person), parDb.readingsEpoch(person)) << person.str();
   }
-  EXPECT_EQ(seqDb.catalogEpoch(), parDb.catalogEpoch());
+  EXPECT_EQ(seqDb.knownMobileObjects(), parDb.knownMobileObjects());
+  EXPECT_EQ(seqDb.evidenceRevision(), parDb.evidenceRevision());
 }
 
 // --- evidence column vs. a model -------------------------------------------------
