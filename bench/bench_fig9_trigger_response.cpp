@@ -124,13 +124,13 @@ int main() {
     std::printf("%-18d %-14.1f %-14.1f\n", triggerCounts[i], series[i][0], steady);
   }
 
-  // Beyond the paper: trigger response under sharded batch ingest. 64 people
-  // report at once through ingestBatch; the live trigger watches one of them.
+  // Beyond the paper: trigger response under batch ingest. 64 people report
+  // at once through ingestBatch; the live trigger watches one of them.
   // Response time = ingestBatch call to notification arrival, in-process (no
   // ORB hop) so the number isolates the fusion/trigger path.
   std::printf("\n# batch ingest: 64 people x 2 readings, trigger on 1 region\n");
-  std::printf("%-8s %-8s %s\n", "shards", "update", "batch_us");
-  for (std::size_t shards : {1u, 2u, 4u, 8u}) {
+  std::printf("%-8s %s\n", "update", "batch_us");
+  {
     sim::Blueprint building =
         sim::generateBlueprint({.building = "SC", .floors = 1, .roomsPerSide = 8});
     core::Middlewhere mw(clock, building.universe, building.frames());
@@ -148,7 +148,6 @@ int main() {
     mw.database().registerSensor(ubi2);
 
     core::LocationService& service = mw.locationService();
-    service.setIngestShards(shards);
 
     Waiter waiter;
     const geo::Rect target = building.roomNamed("101")->rect;
@@ -177,7 +176,7 @@ int main() {
       auto us = std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
                     Clock::now() - start)
                     .count();
-      std::printf("%-8zu %-8d %.1f\n", shards, update, us);
+      std::printf("%-8d %.1f\n", update, us);
     }
   }
   return 0;

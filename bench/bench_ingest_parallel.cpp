@@ -1,10 +1,11 @@
-// Sharded batch ingest: throughput of LocationService::ingestBatch at
-// 1/2/4/8 shards, with and without live subscriptions. One shard is the
-// sequential baseline; scaling beyond it depends on the host's core count —
-// recorded in the JSON context as "hardware_concurrency" so per-host curves
-// are interpretable. Shards append to the reading store's stripes without a
-// database-wide lock; the per-iteration counters report how often they still
-// met on a per-object writer lock.
+// Batch ingest: throughput of LocationService::ingestBatch, which applies a
+// batch in order on the calling thread, with and without live
+// subscriptions, plus four concurrent callers on disjoint objects — the
+// multi-caller path (ORB dispatcher lanes, adapters) the striped reading
+// store serves without a database-wide lock. How far four callers scale
+// depends on the host's core count, recorded in the JSON context as
+// "hardware_concurrency"; the per-iteration counters report how often
+// callers still met on a per-object writer lock.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -42,8 +43,10 @@ struct Fixture {
     }
   }
 
-  /// One reading per (person, sensor), people scattered over the universe.
-  std::vector<db::SensorReading> makeBatch(int people, int sensors) {
+  /// One reading per (person, sensor), people scattered over the universe
+  /// and named `prefix` + index.
+  std::vector<db::SensorReading> makeBatch(int people, int sensors,
+                                           const std::string& prefix = "p") {
     util::Rng rng{7};
     std::vector<db::SensorReading> batch;
     batch.reserve(static_cast<std::size_t>(people) * sensors);
@@ -54,7 +57,7 @@ struct Fixture {
         db::SensorReading r;
         r.sensorId = util::SensorId{"ubi-" + std::to_string(s)};
         r.sensorType = "Ubisense";
-        r.mobileObjectId = util::MobileObjectId{"p" + std::to_string(p)};
+        r.mobileObjectId = util::MobileObjectId{prefix + std::to_string(p)};
         r.location = {where.x + rng.gaussian(0, 0.2), where.y + rng.gaussian(0, 0.2)};
         r.detectionRadius = 0.5 + s;
         r.detectionTime = clock.now();
@@ -71,7 +74,6 @@ struct Fixture {
 // scan only (no fusion).
 static void BM_IngestBatch(benchmark::State& state) {
   Fixture f;
-  f.service->setIngestShards(static_cast<std::size_t>(state.range(0)));
   std::vector<db::SensorReading> batch = f.makeBatch(64, 2);
   for (auto _ : state) {
     for (auto& r : batch) r.detectionTime = f.clock.now();
@@ -82,16 +84,13 @@ static void BM_IngestBatch(benchmark::State& state) {
   state.counters["writer_contentions"] =
       static_cast<double>(f.service->ingestWriterContentions());
   state.counters["snapshot_retries"] = static_cast<double>(f.service->ingestSnapshotRetries());
-  state.SetLabel(std::to_string(state.range(0)) + " shards");
 }
-BENCHMARK(BM_IngestBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+BENCHMARK(BM_IngestBatch)->UseRealTime();
 
 // With live subscriptions each reading that touches a subscribed region pays
-// a fused evaluation — the dominant per-reading cost, and the one the shards
-// parallelize.
+// a fused evaluation — the dominant per-reading cost.
 static void BM_IngestBatchWithSubscriptions(benchmark::State& state) {
   Fixture f;
-  f.service->setIngestShards(static_cast<std::size_t>(state.range(0)));
   // A wall-to-wall subscription: every reading triggers an evaluation.
   f.service->subscribe({f.bp.universe, std::nullopt, 0.01, std::nullopt, false,
                         [](const core::Notification&) {}});
@@ -105,13 +104,38 @@ static void BM_IngestBatchWithSubscriptions(benchmark::State& state) {
   state.counters["writer_contentions"] =
       static_cast<double>(f.service->ingestWriterContentions());
   state.counters["snapshot_retries"] = static_cast<double>(f.service->ingestSnapshotRetries());
-  state.SetLabel(std::to_string(state.range(0)) + " shards, 1 region sub");
+  state.SetLabel("1 region sub");
 }
-BENCHMARK(BM_IngestBatchWithSubscriptions)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+BENCHMARK(BM_IngestBatchWithSubscriptions)->UseRealTime();
+
+// Four callers, each batch-ingesting its own 64 people into one shared
+// service (no subscriptions): items/s sums over the callers.
+static std::unique_ptr<Fixture> sharedCallersFixture;
+
+static void BM_IngestBatchConcurrentCallers(benchmark::State& state) {
+  if (state.thread_index() == 0) sharedCallersFixture = std::make_unique<Fixture>();
+  std::vector<db::SensorReading> batch;
+  for (auto _ : state) {
+    Fixture& f = *sharedCallersFixture;  // built by thread 0 before the start barrier
+    if (batch.empty()) batch = f.makeBatch(64, 2, "t" + std::to_string(state.thread_index()) + "p");
+    for (auto& r : batch) r.detectionTime = f.clock.now();
+    f.service->ingestBatch(batch);
+    f.clock.advance(util::msec(25));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch.size()));
+  if (state.thread_index() == 0) {
+    state.counters["writer_contentions"] =
+        static_cast<double>(sharedCallersFixture->service->ingestWriterContentions());
+    state.counters["snapshot_retries"] =
+        static_cast<double>(sharedCallersFixture->service->ingestSnapshotRetries());
+    sharedCallersFixture.reset();  // after the stop barrier: the others are done
+  }
+  state.SetLabel(std::to_string(state.threads()) + " callers");
+}
+BENCHMARK(BM_IngestBatchConcurrentCallers)->Threads(4)->UseRealTime();
 
 // Sequential loop over the same batch for an apples-to-apples baseline
-// against BM_IngestBatch (shards=1 goes through the same code path minus the
-// pool hop).
+// against BM_IngestBatch: one ingest() call (tap, gate) per reading.
 static void BM_IngestSequentialLoop(benchmark::State& state) {
   Fixture f;
   std::vector<db::SensorReading> batch = f.makeBatch(64, 2);
@@ -127,7 +151,7 @@ static void BM_IngestSequentialLoop(benchmark::State& state) {
 BENCHMARK(BM_IngestSequentialLoop)->UseRealTime();
 
 // Custom main: stamp the host's core count into the JSON context so the
-// shard-scaling curve in BENCH_ingest.json is interpretable per host (a
+// concurrent-caller row in BENCH_ingest.json is interpretable per host (a
 // 1-core runner cannot show >1x scaling no matter what the store does).
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);

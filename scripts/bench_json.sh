@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Writes the committed machine-readable benchmark artifacts:
 #   BENCH_query_latency.json  — cached/uncached/concurrent query latency
-#   BENCH_ingest.json         — sharded batch-ingest throughput
+#   BENCH_ingest.json         — batch-ingest throughput, one and four callers
 #   BENCH_region_poll.json    — region population cache repolling
 #   BENCH_orb.json            — concurrent ORB serving path + wire batches
 #   BENCH_cluster.json        — sharded cluster routed + scatter-gather paths
@@ -15,7 +15,11 @@
 # writes describes libbenchmark, not this project). After each binary, its
 # host steal share (percent of all CPU time the hypervisor took from this
 # host during the run, from /proc/stat) is added to the same context as
-# host_steal_pct; it is only known once the run is over.
+# host_steal_pct; it is only known once the run is over. Each file is written
+# to a temporary path first and moved into place only when that steal is at
+# most MAX_STEAL_PCT (10): a baseline taken on a noisy host is
+# refused, the old one kept, and the script exits nonzero after the last
+# binary.
 #
 # Usage: scripts/bench_json.sh [build-dir] [out-dir]
 # Or via CMake: cmake --build build --target bench_json
@@ -24,6 +28,8 @@ set -euo pipefail
 BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-.}"
 REPO_DIR="$(cd "$(dirname "$0")/.." && pwd)"
+MAX_STEAL_PCT=10
+REFUSED=0
 
 cache_value() {
   sed -n "s/^$1:[A-Z]*=//p" "$BUILD_DIR/CMakeCache.txt" 2>/dev/null || true
@@ -45,23 +51,35 @@ run() {
     echo "bench_json.sh: missing $bin (build the bench targets first)" >&2
     exit 1
   fi
-  local before after
+  local tmp="$out.tmp"
+  local before after steal
   before="$(cpu_ticks)"
-  "$bin" --benchmark_out="$out" --benchmark_out_format=json \
+  "$bin" --benchmark_out="$tmp" --benchmark_out_format=json \
          --benchmark_min_time=0.05 --benchmark_repetitions=5 \
          --benchmark_context="$CONTEXT"
   after="$(cpu_ticks)"
-  python3 - "$out" $before $after <<'PY'
+  steal="$(python3 - "$tmp" $before $after <<'PY'
 import json, sys
 path, s0, t0, s1, t1 = sys.argv[1], *map(int, sys.argv[2:])
 with open(path) as f:
     doc = json.load(f)
-doc["context"]["host_steal_pct"] = "%.1f" % (100.0 * (s1 - s0) / max(1, t1 - t0))
+steal = "%.1f" % (100.0 * (s1 - s0) / max(1, t1 - t0))
+doc["context"]["host_steal_pct"] = steal
 with open(path, "w") as f:
     json.dump(doc, f, indent=2)
     f.write("\n")
+print(steal)
 PY
-  echo "wrote $out"
+)"
+  if python3 -c 'import sys; sys.exit(float(sys.argv[1]) > float(sys.argv[2]))' \
+       "$steal" "$MAX_STEAL_PCT"; then
+    mv "$tmp" "$out"
+    echo "wrote $out (host_steal_pct $steal)"
+  else
+    rm -f "$tmp"
+    echo "bench_json.sh: host_steal_pct $steal > $MAX_STEAL_PCT, left $out unchanged" >&2
+    REFUSED=1
+  fi
 }
 
 run "$BUILD_DIR/bench/bench_query_latency" "$OUT_DIR/BENCH_query_latency.json"
@@ -71,3 +89,4 @@ run "$BUILD_DIR/bench/bench_orb_concurrent" "$OUT_DIR/BENCH_orb.json"
 run "$BUILD_DIR/bench/bench_cluster" "$OUT_DIR/BENCH_cluster.json"
 run "$BUILD_DIR/bench/bench_triggers_scale" "$OUT_DIR/BENCH_triggers.json"
 run "$BUILD_DIR/bench/bench_city" "$OUT_DIR/BENCH_city.json"
+exit "$REFUSED"

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
 
 #include "util/error.hpp"
 #include "util/logging.hpp"
@@ -15,28 +14,31 @@ using mw::util::MobileObjectId;
 using mw::util::require;
 using mw::util::SubscriptionId;
 
-namespace {
-std::size_t defaultShards() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::max<std::size_t>(1, std::min<std::size_t>(4, hw == 0 ? 1 : hw));
-}
-}  // namespace
-
 LocationService::LocationService(const util::Clock& clock, db::SpatialDatabase& database)
-    : clock_(clock), db_(database), engine_(database.universe()), shards_(defaultShards()) {}
+    : clock_(clock), db_(database), engine_(database.universe()) {}
 
 // --- ingestion --------------------------------------------------------------------
 
 void LocationService::ingest(const db::SensorReading& reading) {
+  applyReadings(std::span(&reading, 1));
+}
+
+void LocationService::ingestBatch(std::span<const db::SensorReading> readings) {
+  if (readings.empty()) return;
+  ingestedBatches_.fetch_add(1, std::memory_order_relaxed);
+  applyReadings(readings);
+}
+
+void LocationService::applyReadings(std::span<const db::SensorReading> readings) {
   std::shared_lock gate(ingestGate_);
+  std::vector<db::SensorReading> kept;
   if (auto tap = currentTap()) {
-    const std::vector<db::SensorReading> kept = (*tap)(std::span(&reading, 1));
-    for (const auto& r : kept) ingestOne(r);
-    ingestedReadings_.fetch_add(kept.size(), std::memory_order_relaxed);
-    return;
+    kept = (*tap)(readings);
+    readings = kept;
   }
-  ingestOne(reading);
-  ingestedReadings_.fetch_add(1, std::memory_order_relaxed);
+  for (const auto& reading : readings) ingestOne(reading);
+  // Counted once applied: the counter is a drain marker.
+  ingestedReadings_.fetch_add(readings.size(), std::memory_order_relaxed);
 }
 
 void LocationService::setIngestTap(IngestTap tap) {
@@ -206,60 +208,6 @@ void LocationService::trackLocked(const MobileObjectId& object,
   }
 }
 
-void LocationService::ingestBatch(std::span<const db::SensorReading> readings) {
-  if (readings.empty()) return;
-  std::shared_lock gate(ingestGate_);
-  ingestedBatches_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<db::SensorReading> kept;
-  if (auto tap = currentTap()) {
-    kept = (*tap)(readings);
-    readings = kept;
-    if (readings.empty()) return;  // the tap consumed the whole batch
-  }
-  const std::size_t shardCount = std::min<std::size_t>(shards_, readings.size());
-  if (shardCount <= 1) {
-    for (const auto& reading : readings) ingestOne(reading);
-    // Counted once applied, as in ingest(): the counter is a drain marker.
-    ingestedReadings_.fetch_add(readings.size(), std::memory_order_relaxed);
-    return;
-  }
-  // Shard by object so each object's readings keep their relative order —
-  // the invariant that keeps `moving` flags and estimates identical to a
-  // sequential replay. Each shard appends straight into the reading store's
-  // stripes (per-object locks only), so shards never serialize on a
-  // database-wide lock.
-  std::vector<std::vector<const db::SensorReading*>> buckets(shardCount);
-  for (const auto& reading : readings) {
-    const std::size_t shard =
-        std::hash<std::string>{}(reading.mobileObjectId.str()) % shardCount;
-    buckets[shard].push_back(&reading);
-  }
-
-  // At most shardCount jobs — small batches under-fill the pool rather than
-  // forcing it down to their size.
-  std::vector<std::function<void()>> jobs;
-  jobs.reserve(shardCount);
-  for (auto& bucket : buckets) {
-    if (bucket.empty()) continue;
-    jobs.push_back([this, bucket = std::move(bucket)] {
-      for (const db::SensorReading* reading : bucket) ingestOne(*reading);
-    });
-  }
-
-  // The pool is keyed on shards_ alone: setIngestShards drops it on a width
-  // change, so a live pool always has shards_ threads and batch size never
-  // triggers a rebuild.
-  std::unique_lock poolLock(poolMutex_);
-  if (!pool_) {
-    pool_ = std::make_unique<util::WorkerPool>(shards_);
-    poolRecreations_.fetch_add(1, std::memory_order_relaxed);
-  }
-  util::WorkerPool& pool = *pool_;
-  poolLock.unlock();
-  pool.run(std::move(jobs));
-  ingestedReadings_.fetch_add(readings.size(), std::memory_order_relaxed);
-}
-
 void LocationService::importBatch(std::span<const db::SensorReading> readings) {
   if (readings.empty()) return;
   // Imports share the ingest gate (a pauseIngest() window excludes them like
@@ -281,13 +229,6 @@ void LocationService::importBatch(std::span<const db::SensorReading> readings) {
   objects.reserve(readings.size());
   for (const auto& reading : readings) objects.push_back(reading.mobileObjectId);
   recount(std::move(objects));
-}
-
-void LocationService::setIngestShards(std::size_t n) {
-  require(n >= 1, "LocationService::setIngestShards: shard count must be >= 1");
-  std::lock_guard lock(poolMutex_);
-  if (n != shards_) pool_.reset();  // rebuilt at the new width on the next batch
-  shards_ = n;
 }
 
 // --- fusion cache -------------------------------------------------------------------

@@ -32,7 +32,6 @@
 #include "spatialdb/database.hpp"
 #include "util/clock.hpp"
 #include "util/ids.hpp"
-#include "util/worker_pool.hpp"
 
 namespace mw::core {
 
@@ -109,13 +108,11 @@ class LocationService {
   /// and evaluates subscriptions whose region the reading touches.
   void ingest(const db::SensorReading& reading);
 
-  /// Batch ingest, fanned across a fixed worker pool. Readings are
-  /// partitioned into shards by hash(MobileObjectId) so every object's
-  /// readings land on one shard in their original relative order — the
-  /// invariant that makes the result (estimates, notification set, `moving`
-  /// flags) identical to sequential ingest, up to cross-object notification
-  /// order. With one shard (or one reading) this degrades to the sequential
-  /// path.
+  /// Batch ingest: one tap call, then the readings applied in order on the
+  /// calling thread, so the result (estimates, notifications and their
+  /// order, `moving` flags) is exactly that of ingest() on each in turn.
+  /// Parallelism comes from concurrent callers (ORB dispatcher lanes,
+  /// adapters), which the striped reading store serves without a shared lock.
   void ingestBatch(std::span<const db::SensorReading> readings);
 
   /// Replay path for handoff/replication imports: stores the readings
@@ -153,24 +150,9 @@ class LocationService {
     return std::unique_lock(ingestGate_);
   }
 
-  /// Shard/worker count used by ingestBatch (default: min(4, hardware
-  /// concurrency)). Takes effect on the next batch; do not call while a
-  /// batch is in flight.
-  void setIngestShards(std::size_t n);
-  [[nodiscard]] std::size_t ingestShards() const noexcept { return shards_; }
-
-  /// Times the worker pool was (re)built — exactly once per configured
-  /// width, never per batch: the pool is keyed on ingestShards() alone, so
-  /// small batches (which submit fewer jobs than the pool has threads) reuse
-  /// it untouched.
-  [[nodiscard]] std::uint64_t ingestPoolRecreations() const noexcept {
-    return poolRecreations_.load(std::memory_order_relaxed);
-  }
-
   /// Reading-store contention stats, surfaced here next to the cache
   /// counters so ops dashboards read one object. Inserts that found their
-  /// object's writer lock held (two shards cannot collide on an object —
-  /// sharding is by object — so nonzero values mean concurrent ingest*()
+  /// object's writer lock held (nonzero values mean concurrent ingest*()
   /// callers raced on one object).
   [[nodiscard]] std::uint64_t ingestWriterContentions() const noexcept {
     return db_.readingWriterContentions();
@@ -534,8 +516,11 @@ class LocationService {
     DensityNotification notification;
   };
 
-  /// Stores one reading and evaluates the subscriptions it touched — the
-  /// unit of work shared by sequential ingest and every batch shard.
+  /// ingest()/ingestBatch() under the ingest gate: the tap, then each kept
+  /// reading through ingestOne, then the drain counter.
+  void applyReadings(std::span<const db::SensorReading> readings);
+
+  /// Stores one reading and evaluates the subscriptions it touched.
   void ingestOne(const db::SensorReading& reading);
 
   // --- density-rule counting (subsMutex_ guards the tracking state) ---------
@@ -646,13 +631,6 @@ class LocationService {
   /// index is invalidated (reindexRegions).
   mutable std::mutex reachabilityMutex_;
   mutable std::unique_ptr<reasoning::Datalog> reachability_;
-
-  // Sharded ingest worker pool, created lazily at the configured width and
-  // keyed on shards_ alone (setIngestShards drops it; batch size never does).
-  std::mutex poolMutex_;
-  std::unique_ptr<util::WorkerPool> pool_;
-  std::size_t shards_;
-  mutable std::atomic<std::uint64_t> poolRecreations_{0};
 
   std::atomic<std::uint64_t> ingestedReadings_{0};
   std::atomic<std::uint64_t> ingestedBatches_{0};

@@ -22,21 +22,6 @@ WorkerPool::~WorkerPool() {
   for (auto& w : workers_) w.join();
 }
 
-void WorkerPool::run(std::vector<std::function<void()>> jobs) {
-  if (jobs.empty()) return;
-  auto batch = std::make_shared<Batch>();
-  batch->remaining = jobs.size();
-  {
-    std::lock_guard lock(m_);
-    for (auto& job : jobs) queue_.push_back(Task{std::move(job), batch});
-  }
-  wake_.notify_all();
-
-  std::unique_lock lock(batch->m);
-  batch->done.wait(lock, [&] { return batch->remaining == 0; });
-  if (batch->error) std::rethrow_exception(batch->error);
-}
-
 void WorkerPool::post(std::size_t lane, std::function<void()> fn) {
   require(static_cast<bool>(fn), "WorkerPool::post: null job");
   {
@@ -47,40 +32,17 @@ void WorkerPool::post(std::size_t lane, std::function<void()> fn) {
 }
 
 void WorkerPool::workerLoop(std::size_t index) {
+  auto& lane = lanes_[index];
   for (;;) {
-    std::function<void()> laneJob;
-    Task task;
+    std::function<void()> job;
     {
       std::unique_lock lock(m_);
-      wake_.wait(lock, [&] {
-        return stopping_ || !queue_.empty() || !lanes_[index].empty();
-      });
-      if (!lanes_[index].empty()) {
-        laneJob = std::move(lanes_[index].front());
-        lanes_[index].pop_front();
-      } else if (!queue_.empty()) {
-        task = std::move(queue_.front());
-        queue_.pop_front();
-      } else {
-        return;  // stopping_ and both queues drained
-      }
+      wake_.wait(lock, [&] { return stopping_ || !lane.empty(); });
+      if (lane.empty()) return;  // stopping_ and the lane drained
+      job = std::move(lane.front());
+      lane.pop_front();
     }
-    if (laneJob) {
-      laneJob();  // posted jobs must not throw (see header)
-      continue;
-    }
-    std::exception_ptr error;
-    try {
-      task.fn();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    {
-      std::lock_guard lock(task.batch->m);
-      if (error && !task.batch->error) task.batch->error = error;
-      --task.batch->remaining;
-    }
-    task.batch->done.notify_all();
+    job();  // posted jobs must not throw (see header)
   }
 }
 

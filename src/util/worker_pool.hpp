@@ -1,16 +1,13 @@
-// Fixed-size worker pool used by the Location Service's sharded batch
-// ingest and the MicroOrb's request dispatcher. Deliberately minimal: a
-// bounded set of threads created once, fed from a shared batch queue plus
-// one FIFO lane per worker, with batch-scoped completion waiting — the
-// building block the ROADMAP's "millions of users" ingest fan-out needs
-// without dragging in an async framework.
+// Fixed set of lane-pinned worker threads behind the MicroOrb's request
+// dispatcher (RpcServer::enableDispatcher). Deliberately minimal: threads
+// created once, each draining its own FIFO lane, so requests posted to one
+// lane run in order and lanes run in parallel — without an async framework.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -27,12 +24,6 @@ class WorkerPool {
 
   [[nodiscard]] std::size_t threadCount() const noexcept { return workers_.size(); }
 
-  /// Runs every job on the pool and blocks until all of them have finished.
-  /// Jobs from concurrent run() calls interleave in the queue; each call
-  /// waits only for its own batch. The first exception thrown by a job in
-  /// the batch is rethrown here (after the whole batch has drained).
-  void run(std::vector<std::function<void()>> jobs);
-
   /// Asynchronous lane-pinned submission: `fn` runs on worker
   /// `lane % threadCount()`, after every job previously posted to that lane
   /// (FIFO per lane, no ordering across lanes). Returns as soon as the job
@@ -42,26 +33,11 @@ class WorkerPool {
   void post(std::size_t lane, std::function<void()> fn);
 
  private:
-  /// Completion state shared by the jobs of one run() call.
-  struct Batch {
-    std::mutex m;
-    std::condition_variable done;
-    std::size_t remaining = 0;
-    std::exception_ptr error;
-  };
-
-  struct Task {
-    std::function<void()> fn;
-    std::shared_ptr<Batch> batch;
-  };
-
   void workerLoop(std::size_t index);
 
   std::mutex m_;
   std::condition_variable wake_;
-  std::deque<Task> queue_;
-  /// One FIFO per worker for post(); drained before the shared batch queue
-  /// so a lane never reorders behind batch work it did not submit.
+  /// One FIFO per worker.
   std::vector<std::deque<std::function<void()>>> lanes_;
   bool stopping_ = false;
   std::vector<std::thread> workers_;

@@ -1,16 +1,19 @@
 // Epoch-based fusion caching: repeated queries on an unchanged object reuse
 // one fused state; a new reading, TTL expiry or sensor (de)registration
-// bumps the object's readings epoch and forces recomputation. Batch ingest
-// must be observationally identical to sequential ingest.
+// bumps the object's readings epoch and forces recomputation. Batch ingest,
+// also from concurrent callers, must be observationally identical to
+// sequential ingest.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <mutex>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "concurrent_ingest.hpp"
 #include "core/location_service.hpp"
-#include "util/error.hpp"
 
 namespace mw::core {
 namespace {
@@ -224,11 +227,10 @@ std::vector<db::SensorReading> mixedBatch(Fixture& f, int people) {
 
 TEST(IngestBatchTest, MatchesSequentialIngest) {
   Fixture seq, par;
-  par.service.setIngestShards(4);
 
   // Identical wall-to-wall subscriptions on both services, recording every
-  // notification (order-insensitively comparable). Callbacks fire from shard
-  // threads on the parallel service, so the recorder locks.
+  // notification (order-insensitively comparable). Callbacks fire on four
+  // concurrent caller threads on the parallel service, so the recorder locks.
   std::mutex notesMutex;
   std::vector<NotificationRecord> seqNotes, parNotes;
   auto recordInto = [&notesMutex](std::vector<NotificationRecord>& out, const char* tag) {
@@ -251,7 +253,7 @@ TEST(IngestBatchTest, MatchesSequentialIngest) {
   std::vector<db::SensorReading> batchSeq = mixedBatch(seq, 20);
   std::vector<db::SensorReading> batchPar = mixedBatch(par, 20);
   for (const auto& r : batchSeq) seq.service.ingest(r);
-  par.service.ingestBatch(batchPar);
+  testing::ingestFromCallers(par.service, batchPar, 4, 3);
 
   // Byte-identical estimates per object.
   for (int p = 0; p < 20; ++p) {
@@ -275,32 +277,120 @@ TEST(IngestBatchTest, MatchesSequentialIngest) {
 
 TEST(IngestBatchTest, SingleShardAndEmptyBatch) {
   Fixture f;
-  f.service.setIngestShards(1);
   f.service.ingestBatch({});  // no-op
+  EXPECT_EQ(f.service.ingestedBatches(), 0u);
   std::vector<db::SensorReading> batch = mixedBatch(f, 3);
   f.service.ingestBatch(batch);
+  EXPECT_EQ(f.service.ingestedBatches(), 1u);
+  EXPECT_EQ(f.service.ingestedReadings(), batch.size());
   for (int p = 0; p < 3; ++p) {
     EXPECT_TRUE(f.service.locateObject(MobileObjectId{"p" + std::to_string(p)}).has_value());
   }
 }
 
 TEST(IngestBatchTest, PerObjectOrderPreservedAcrossShards) {
-  // Two readings for the same object in one batch: the second must win the
-  // `moving` comparison against the first, exactly as in sequential ingest.
-  Fixture f;
-  f.service.setIngestShards(4);
+  // Each object gets two readings far apart in one caller's batch while
+  // three other callers ingest their own objects: the second reading must
+  // win the `moving` comparison against the first, as in sequential ingest.
+  Fixture seq, par;
   std::vector<db::SensorReading> batch;
-  batch.push_back(f.reading("ubi-1", "alice", {5, 5}));
-  batch.push_back(f.reading("ubi-1", "alice", {45, 5}));
-  f.service.ingestBatch(batch);
-  auto est = f.service.locateObject(MobileObjectId{"alice"});
-  ASSERT_TRUE(est.has_value());
-  EXPECT_TRUE(est->region.contains(geo::Point2{45, 5}));
+  for (int p = 0; p < 8; ++p) {
+    const std::string name = "p" + std::to_string(p);
+    const double y = 5.0 + p * 5.0;
+    batch.push_back(par.reading("ubi-1", name.c_str(), {5, y}));
+    batch.push_back(par.reading("ubi-1", name.c_str(), {45, y}));
+  }
+  for (const auto& r : batch) seq.service.ingest(r);
+  testing::ingestFromCallers(par.service, batch, 4);
+
+  for (int p = 0; p < 8; ++p) {
+    const MobileObjectId who{"p" + std::to_string(p)};
+    auto a = seq.service.locateObject(who);
+    auto b = par.service.locateObject(who);
+    ASSERT_TRUE(a.has_value() && b.has_value()) << who.str();
+    EXPECT_TRUE(b->region.contains(geo::Point2{45, 5.0 + p * 5.0})) << who.str();
+    EXPECT_EQ(a->region, b->region) << who.str();
+    EXPECT_EQ(a->probability, b->probability) << who.str();
+  }
 }
 
-TEST(IngestBatchTest, RejectsZeroShards) {
+TEST(IngestBatchTest, CallbacksFireOnCallingThreadBeforeReturn) {
+  // No worker threads: every notification of a batch has fired, on the
+  // caller's own thread, by the time ingestBatch returns.
   Fixture f;
-  EXPECT_THROW(f.service.setIngestShards(0), util::ContractError);
+  std::vector<std::thread::id> firedOn;
+  f.service.subscribe({geo::Rect::fromOrigin({0, 0}, 100, 50), std::nullopt, 0.01,
+                       std::nullopt, false,
+                       [&firedOn](const Notification&) {
+                         firedOn.push_back(std::this_thread::get_id());
+                       }});
+  std::vector<db::SensorReading> batch = mixedBatch(f, 12);
+  f.service.ingestBatch(batch);
+  EXPECT_EQ(firedOn.size(), batch.size());  // level-triggered: one per reading
+  for (const auto& id : firedOn) EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+TEST(IngestBatchTest, NotificationOrderMatchesSequentialIngest) {
+  // One caller: the batch's notification stream equals sequential ingest's,
+  // order included, not just as a multiset.
+  Fixture seq, bat;
+  std::vector<NotificationRecord> seqNotes, batNotes;
+  auto recordInto = [](std::vector<NotificationRecord>& out, const char* tag) {
+    return [&out, tag](const Notification& n) {
+      out.push_back({tag, n.object.str(), n.probability});
+    };
+  };
+  geo::Rect everywhere = geo::Rect::fromOrigin({0, 0}, 100, 50);
+  geo::Rect roomA = geo::Rect::fromOrigin({0, 0}, 20, 20);
+  for (auto* into : {&seq, &bat}) {
+    auto& notes = into == &seq ? seqNotes : batNotes;
+    into->service.subscribe({everywhere, std::nullopt, 0.01, std::nullopt, false,
+                             recordInto(notes, "everywhere")});
+    into->service.subscribe({roomA, std::nullopt, 0.5, std::nullopt, true,
+                             recordInto(notes, "roomA")});
+  }
+  for (int round = 0; round < 3; ++round) {
+    std::vector<db::SensorReading> batch = mixedBatch(seq, 20);
+    for (auto& r : batch) r.location.x += round * 3.0;  // move in and out of room A
+    for (const auto& r : batch) seq.service.ingest(r);
+    bat.service.ingestBatch(batch);
+  }
+  EXPECT_FALSE(seqNotes.empty());
+  EXPECT_EQ(seqNotes, batNotes);
+}
+
+TEST(IngestBatchTest, TapSeesEachBatchOnceAndOnlyKeptReadingsApply) {
+  Fixture f;
+  std::vector<std::size_t> tapped;
+  bool dropAll = false;
+  f.service.setIngestTap([&](std::span<const db::SensorReading> readings) {
+    tapped.push_back(readings.size());
+    std::vector<db::SensorReading> kept;
+    for (const auto& r : readings) {
+      if (!dropAll && r.mobileObjectId.str() != "p1") kept.push_back(r);
+    }
+    return kept;
+  });
+
+  std::vector<db::SensorReading> batch = mixedBatch(f, 3);
+  f.service.ingestBatch(batch);
+  EXPECT_EQ(tapped, std::vector<std::size_t>{batch.size()});  // one call, whole batch
+  EXPECT_EQ(f.service.ingestedReadings(), batch.size() - 2);  // p1's two consumed
+  EXPECT_TRUE(f.service.locateObject(MobileObjectId{"p0"}).has_value());
+  EXPECT_FALSE(f.service.locateObject(MobileObjectId{"p1"}).has_value());
+  EXPECT_TRUE(f.service.locateObject(MobileObjectId{"p2"}).has_value());
+
+  // A tap that consumes the whole batch still counts the batch, not its readings.
+  dropAll = true;
+  f.service.ingestBatch(batch);
+  EXPECT_EQ(tapped.size(), 2u);
+  EXPECT_EQ(f.service.ingestedBatches(), 2u);
+  EXPECT_EQ(f.service.ingestedReadings(), batch.size() - 2);
+
+  f.service.setIngestTap(nullptr);
+  f.service.ingestBatch(batch);
+  EXPECT_EQ(tapped.size(), 2u);
+  EXPECT_TRUE(f.service.locateObject(MobileObjectId{"p1"}).has_value());
 }
 
 }  // namespace

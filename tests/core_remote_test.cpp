@@ -254,8 +254,8 @@ TEST(IngestBatchTest, OnewayBatchOverTcpDrains) {
 TEST(IngestBatchTest, RemoteBatchMatchesSequentialOracle) {
   // The same reading sequence, ingested one call at a time into one stack and
   // as wire batches through the dispatcher into another, must produce
-  // byte-identical location estimates: sharded batch ingest preserves each
-  // object's reading order.
+  // byte-identical location estimates: batch ingest preserves each object's
+  // reading order.
   VirtualClock clock;
   const std::vector<std::string> objects{"bob", "carol", "dave"};
   std::vector<db::SensorReading> sequence;

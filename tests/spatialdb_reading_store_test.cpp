@@ -2,10 +2,10 @@
 // objects against snapshot readers (run under -DMW_SANITIZE=thread to prove
 // the epoch-publication protocol race-free), lazy TTL-expiry epoch bumps,
 // the shared sensor-table epoch path, the catalog/readings lock split (a
-// long catalog read must never block ingest), the batch-size-independent
-// ingest worker pool, an oracle pinning sharded ingest to byte-identical
-// fusion results vs. the sequential path, and a seeded model check of the
-// packed evidence column behind region discovery.
+// long catalog read must never block ingest), an oracle pinning ingest from
+// concurrent callers on disjoint objects to byte-identical fusion results
+// vs. the sequential path, and a seeded model check of the packed evidence
+// column behind region discovery.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "concurrent_ingest.hpp"
 #include "core/location_service.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -289,39 +290,7 @@ TEST(ReadingStoreTest, RegisterAndDeregisterShareOneEpochPath) {
   EXPECT_EQ(f.db.readingsFor(person).size(), 1u);
 }
 
-// --- ingest pool (keyed on shard width, not batch size) ------------------------
-
-TEST(ReadingStoreTest, IngestPoolRebuildsOnlyOnWidthChange) {
-  Fixture f;
-  f.service.setIngestShards(4);
-  std::vector<db::SensorReading> small;
-  for (int p = 0; p < 2; ++p) {
-    small.push_back(f.read("ubi-1", ("s" + std::to_string(p)).c_str(), {5.0 + p, 5}));
-  }
-  std::vector<db::SensorReading> large;
-  for (int p = 0; p < 64; ++p) {
-    large.push_back(f.read("ubi-1", ("l" + std::to_string(p)).c_str(), {5.0 + p * 0.1, 8}));
-  }
-
-  // Small batches shard below the pool width but must reuse the pool.
-  f.service.ingestBatch(small);
-  f.service.ingestBatch(large);
-  f.service.ingestBatch(small);
-  EXPECT_EQ(f.service.ingestPoolRecreations(), 1u);
-
-  // A width change drops the pool; the next batch rebuilds it once.
-  f.service.setIngestShards(2);
-  f.service.ingestBatch(large);
-  f.service.ingestBatch(small);
-  EXPECT_EQ(f.service.ingestPoolRecreations(), 2u);
-
-  // Setting the same width is a no-op.
-  f.service.setIngestShards(2);
-  f.service.ingestBatch(large);
-  EXPECT_EQ(f.service.ingestPoolRecreations(), 2u);
-}
-
-// --- oracle: sharded ingest is byte-identical to sequential --------------------
+// --- oracle: ingest sharded over concurrent callers is byte-identical ----------
 
 TEST(ReadingStoreTest, ShardedIngestMatchesSequentialOracle) {
   VirtualClock clock;
@@ -329,8 +298,6 @@ TEST(ReadingStoreTest, ShardedIngestMatchesSequentialOracle) {
   db::SpatialDatabase parDb = makeDb(clock);
   LocationService seq(clock, seqDb);
   LocationService par(clock, parDb);
-  seq.setIngestShards(1);
-  par.setIngestShards(4);
 
   constexpr int kPeople = 12;
   constexpr int kRounds = 5;
@@ -342,8 +309,8 @@ TEST(ReadingStoreTest, ShardedIngestMatchesSequentialOracle) {
       batch.push_back(reading(clock, sensor, person.c_str(),
                               {2.0 + p * 7.0 + round * 0.5, 5.0 + (p % 5) * 8.0}));
     }
-    seq.ingestBatch(batch);
-    par.ingestBatch(batch);
+    for (const auto& r : batch) seq.ingest(r);
+    testing::ingestFromCallers(par, batch, 4, 2);
     clock.advance(msec(500));
   }
 
@@ -354,8 +321,8 @@ TEST(ReadingStoreTest, ShardedIngestMatchesSequentialOracle) {
     ASSERT_EQ(a.has_value(), b.has_value()) << person.str();
     if (!a) continue;
     // Byte-identical: exact doubles, same supporting/discarded sets, same
-    // class — sharding preserves per-object order, so fusion sees the same
-    // inputs in the same order.
+    // class — each object's readings stay on one caller in order, so fusion
+    // sees the same inputs in the same order.
     EXPECT_EQ(a->region, b->region) << person.str();
     EXPECT_EQ(a->probability, b->probability) << person.str();
     EXPECT_EQ(a->cls, b->cls) << person.str();

@@ -1,4 +1,4 @@
-// WorkerPool: fixed-thread batch executor used by sharded ingest.
+// WorkerPool: fixed lane-pinned threads behind the ORB request dispatcher.
 #include "util/worker_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -7,9 +7,10 @@
 #include <chrono>
 #include <functional>
 #include <future>
+#include <latch>
 #include <mutex>
 #include <numeric>
-#include <stdexcept>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -19,58 +20,36 @@ namespace mw::util {
 namespace {
 
 TEST(WorkerPoolTest, RunsEveryJobExactlyOnce) {
-  WorkerPool pool(4);
-  EXPECT_EQ(pool.threadCount(), 4u);
   std::vector<std::atomic<int>> counts(64);
-  std::vector<std::function<void()>> jobs;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    jobs.push_back([&counts, i] { counts[i].fetch_add(1); });
-  }
-  pool.run(std::move(jobs));
+  {
+    WorkerPool pool(4);
+    EXPECT_EQ(pool.threadCount(), 4u);
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      pool.post(i, [&counts, i] { counts[i].fetch_add(1); });
+    }
+  }  // destruction drains every lane
   for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
 }
 
-TEST(WorkerPoolTest, RunReturnsOnlyAfterAllJobsFinish) {
-  WorkerPool pool(2);
-  std::atomic<int> done{0};
-  std::vector<std::function<void()>> jobs;
-  for (int i = 0; i < 8; ++i) {
-    jobs.push_back([&done] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      done.fetch_add(1);
-    });
-  }
-  pool.run(std::move(jobs));
-  EXPECT_EQ(done.load(), 8);  // the barrier held
-}
-
 TEST(WorkerPoolTest, SequentialBatchesReuseThreads) {
+  std::mutex m;
+  std::set<std::thread::id> workers;
   WorkerPool pool(2);
-  std::atomic<int> total{0};
   for (int batch = 0; batch < 10; ++batch) {
-    std::vector<std::function<void()>> jobs;
-    for (int i = 0; i < 4; ++i) jobs.push_back([&total] { total.fetch_add(1); });
-    pool.run(std::move(jobs));
+    std::latch done(4);
+    for (std::size_t lane = 0; lane < 4; ++lane) {
+      pool.post(lane, [&] {
+        {
+          std::lock_guard lock(m);
+          workers.insert(std::this_thread::get_id());
+        }
+        done.count_down();
+      });
+    }
+    done.wait();
   }
-  EXPECT_EQ(total.load(), 40);
-}
-
-TEST(WorkerPoolTest, PropagatesFirstException) {
-  WorkerPool pool(2);
-  std::vector<std::function<void()>> jobs;
-  jobs.push_back([] {});
-  jobs.push_back([] { throw std::runtime_error("shard failed"); });
-  jobs.push_back([] {});
-  EXPECT_THROW(pool.run(std::move(jobs)), std::runtime_error);
-  // The pool survives a failed batch.
-  std::atomic<int> ok{0};
-  pool.run({[&ok] { ok.fetch_add(1); }});
-  EXPECT_EQ(ok.load(), 1);
-}
-
-TEST(WorkerPoolTest, EmptyBatchIsANoop) {
-  WorkerPool pool(1);
-  pool.run({});
+  std::lock_guard lock(m);
+  EXPECT_EQ(workers.size(), pool.threadCount());  // four lanes, two threads
 }
 
 TEST(WorkerPoolTest, RejectsZeroThreads) { EXPECT_THROW(WorkerPool{0}, ContractError); }
@@ -121,23 +100,43 @@ TEST(WorkerPoolTest, PostedJobsDrainOnDestruction) {
   EXPECT_EQ(hits.load(), 64);
 }
 
-TEST(WorkerPoolTest, PostInterleavesWithRunBatches) {
-  std::atomic<int> posted{0};
-  std::atomic<int> batched{0};
+TEST(WorkerPoolTest, LanesRunInParallel) {
+  // The job on lane 0 waits for one posted later to lane 1; that only
+  // completes if lane 1 does not queue behind lane 0. Bounded wait, so a
+  // serialized pool fails instead of hanging.
+  WorkerPool pool(2);
+  std::promise<void> laneOneRan;
+  std::promise<bool> laneZeroSawIt;
+  pool.post(0, [&] {
+    laneZeroSawIt.set_value(laneOneRan.get_future().wait_for(std::chrono::seconds(10)) ==
+                            std::future_status::ready);
+  });
+  pool.post(1, [&] { laneOneRan.set_value(); });
+  EXPECT_TRUE(laneZeroSawIt.get_future().get());
+}
+
+TEST(WorkerPoolTest, EachLaneRunsOnOneThread) {
+  // Lane pinning: every job of a lane runs on one worker, and lanes that
+  // are equal modulo the thread count share it.
+  constexpr std::size_t kLanes = 6;
+  std::mutex m;
+  std::vector<std::set<std::thread::id>> ranOn(kLanes);
   {
-    WorkerPool pool(2);
-    for (int round = 0; round < 8; ++round) {
-      for (int i = 0; i < 4; ++i) {
-        pool.post(static_cast<std::size_t>(i), [&posted] { posted.fetch_add(1); });
+    WorkerPool pool(3);
+    for (int round = 0; round < 20; ++round) {
+      for (std::size_t lane = 0; lane < kLanes; ++lane) {
+        pool.post(lane, [&m, &ranOn, lane] {
+          std::lock_guard lock(m);
+          ranOn[lane].insert(std::this_thread::get_id());
+        });
       }
-      std::vector<std::function<void()>> jobs;
-      for (int i = 0; i < 4; ++i) jobs.push_back([&batched] { batched.fetch_add(1); });
-      pool.run(std::move(jobs));  // the run() barrier still holds alongside post()
-      EXPECT_EQ(batched.load(), (round + 1) * 4);
     }
   }
-  // Destruction drained whatever posted work was still queued.
-  EXPECT_EQ(posted.load(), 32);
+  for (const auto& ids : ranOn) ASSERT_EQ(ids.size(), 1u);
+  for (std::size_t lane = 0; lane < 3; ++lane) {
+    EXPECT_EQ(ranOn[lane], ranOn[lane + 3]);
+    EXPECT_NE(ranOn[lane], ranOn[(lane + 1) % 3]);
+  }
 }
 
 TEST(WorkerPoolTest, PostRejectsNullJob) {
