@@ -291,6 +291,40 @@ static void BM_ClusterTerritoryMigration(benchmark::State& state) {
 }
 BENCHMARK(BM_ClusterTerritoryMigration)->Arg(0)->Arg(1)->UseRealTime();
 
+// Crossing cost against resident population: one object shuttles across
+// the x = 50 split of a 2-shard spatial cluster, so every iteration is one
+// crossing reading and one migration. Both sides hold N static residents,
+// so each crossing's losing shard holds N others. The migration should cost
+// what moves, not what stays: the row should be flat in N.
+// Arg = N residents per shard.
+static void BM_ClusterCrossingUnderResidents(benchmark::State& state) {
+  const auto residents = static_cast<std::size_t>(state.range(0));
+  ClusterFixture f(2, true);
+
+  std::vector<db::SensorReading> population;
+  population.reserve(2 * residents);
+  for (std::size_t i = 0; i < residents; ++i) {
+    const double x = 1.0 + static_cast<double>(i % 96) * 0.5;
+    const double y = 1.0 + static_cast<double>(i / 96 % 96) * 0.5;
+    population.push_back(f.makeReading("w" + std::to_string(i), {x, y}));
+    population.push_back(f.makeReading("e" + std::to_string(i), {x + 50.0, y}));
+  }
+  f.router->ingestBatch(population);
+  f.router->ingest(f.makeReading("shuttle", {25.0, 25.0}));
+
+  std::uint64_t crossings = 0;
+  for (auto _ : state) {
+    ++crossings;
+    f.router->ingest(f.makeReading("shuttle", {crossings % 2 == 1 ? 75.0 : 25.0, 25.0}));
+  }
+
+  f.exportStats(state);
+  state.SetItemsProcessed(static_cast<std::int64_t>(crossings));
+  state.SetLabel(std::to_string(residents) + " residents on the losing shard, " +
+                 std::to_string(f.router->stats().objectMigrations) + " migrations");
+}
+BENCHMARK(BM_ClusterCrossingUnderResidents)->Arg(1000)->Arg(10000)->UseRealTime();
+
 // Custom main: record the host's core count next to the width curve.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);

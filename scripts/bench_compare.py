@@ -12,9 +12,10 @@ each; a file with one run per name compares that run):
 
 Benchmarks compare honestly only on comparable hosts, so the gate is keyed on
 the "hardware_concurrency" context the benches record (scripts/bench_json.sh
-baselines come from a developer machine; CI runners differ): when the widths
-disagree, FAILs are downgraded to report-only warnings instead of failing the
-build on hardware we never measured.
+baselines come from a developer machine; CI runners differ), file by file: a
+file whose baseline and current widths agree can fail the build, and only a
+file whose widths disagree has its FAILs downgraded to report-only warnings,
+instead of failing the build on hardware we never measured.
 
 Usage:
   scripts/bench_compare.py --baseline . --current bench-json \
@@ -78,7 +79,6 @@ def main() -> int:
         return 2
 
     rows = []  # (status, artifact, benchmark, baseline ns, current ns, delta)
-    comparable = True
     notes = []
     for base_path in baselines:
         cur_path = current_dir / base_path.name
@@ -87,25 +87,27 @@ def main() -> int:
             continue
         base, base_width = load_benchmarks(base_path)
         cur, cur_width = load_benchmarks(cur_path)
-        if base_width and cur_width and base_width != cur_width:
-            comparable = False
+        comparable = not (base_width and cur_width and base_width != cur_width)
+        if not comparable:
             notes.append(
                 f"{base_path.name}: hardware_concurrency {base_width} (baseline) vs "
                 f"{cur_width} (current) — not comparable, report-only"
             )
+        file_rows = []
         for name, base_ns in sorted(base.items()):
             if name not in cur:
-                rows.append((FAIL, base_path.name, f"{name} (missing)", base_ns, 0.0, 0.0))
+                file_rows.append((FAIL, base_path.name, f"{name} (missing)", base_ns, 0.0, 0.0))
                 continue
             delta = cur[name] / base_ns - 1.0
             status = FAIL if delta > args.fail else WARN if delta > args.warn else OK
-            rows.append((status, base_path.name, name, base_ns, cur[name], delta))
+            file_rows.append((status, base_path.name, name, base_ns, cur[name], delta))
+        if not comparable:
+            file_rows = [(WARN if status == FAIL else status, *rest) for status, *rest in file_rows]
+        rows += file_rows
         for name in sorted(set(cur) - set(base)):
             notes.append(f"{cur_path.name}: new benchmark {name} (no baseline yet)")
 
-    hard_fail = any(status == FAIL for status, *_ in rows) and comparable
-    if not comparable:
-        rows = [(WARN if status == FAIL else status, *rest) for status, *rest in rows]
+    hard_fail = any(status == FAIL for status, *_ in rows)
 
     lines = ["# Bench regression check", ""]
     if notes:

@@ -6,8 +6,6 @@
 #   BENCH_orb.json            — concurrent ORB serving path + wire batches
 #   BENCH_cluster.json        — sharded cluster routed + scatter-gather paths
 #   BENCH_triggers.json       — standing-rule scaling (rule axis 10^3..10^6)
-#   BENCH_city.json           — open-loop city workload vs a 4-shard spatial
-#                               cluster (corrected p99 per operation class)
 #
 # Each benchmark runs 5 repetitions (scripts/bench_compare.py gates on their
 # median), and the JSON context records the build's CMAKE_BUILD_TYPE, its
@@ -36,7 +34,8 @@ cache_value() {
 }
 BUILD_TYPE="$(cache_value CMAKE_BUILD_TYPE)"
 COMPILER="$(cache_value MW_CXX_COMPILER)"
-GIT_SHA="$(git -C "$REPO_DIR" rev-parse --short HEAD 2>/dev/null || true)"
+# "-dirty" marks a run of a tree whose tracked files differ from that commit.
+GIT_SHA="$(git -C "$REPO_DIR" describe --always --dirty --abbrev=7 2>/dev/null || true)"
 CONTEXT="build_type=${BUILD_TYPE:-unknown},compiler=${COMPILER:-unknown},git_sha=${GIT_SHA:-unknown}"
 
 # "steal total" jiffies of the aggregate cpu line; the total sums its first
@@ -88,5 +87,4 @@ run "$BUILD_DIR/bench/bench_region_poll" "$OUT_DIR/BENCH_region_poll.json"
 run "$BUILD_DIR/bench/bench_orb_concurrent" "$OUT_DIR/BENCH_orb.json"
 run "$BUILD_DIR/bench/bench_cluster" "$OUT_DIR/BENCH_cluster.json"
 run "$BUILD_DIR/bench/bench_triggers_scale" "$OUT_DIR/BENCH_triggers.json"
-run "$BUILD_DIR/bench/bench_city" "$OUT_DIR/BENCH_city.json"
 exit "$REFUSED"

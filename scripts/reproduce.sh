@@ -23,7 +23,7 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 cmake -B build-tsan "${GEN[@]}" -DMW_SANITIZE=thread
 cmake --build build-tsan
 ctest --test-dir build-tsan \
-      -R 'Concurrency|ContinuousQuery|FusionCache|IngestBatch|WorkerPool|RegionCache|ReadingStore|RpcDispatcher|Cluster|RpcTimeout|EventLoop|OpenLoopLoadGen|CrowdMonitor|DensityRules' \
+      -R 'Concurrency|ContinuousQuery|FusionCache|IngestBatch|WorkerPool|RegionCache|ReadingStore|RpcDispatcher|Cluster|RpcTimeout|EventLoop|CrowdMonitor|DensityRules' \
       --output-on-failure 2>&1 | tee tsan_output.txt
 
 # Machine-readable benchmark artifacts committed at the repo root.

@@ -89,6 +89,11 @@ bool HandoffSession::empty() const {
   return objects_.empty() && arcs_.empty();
 }
 
+std::vector<util::MobileObjectId> HandoffSession::objects() const {
+  std::shared_lock lock(coverMutex_);
+  return {objects_.begin(), objects_.end()};
+}
+
 std::vector<db::SensorReading> HandoffSession::filter(std::vector<db::SensorReading> batch) {
   std::vector<db::SensorReading> mine;
   std::vector<db::SensorReading> rest;

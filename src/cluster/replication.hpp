@@ -121,6 +121,14 @@ class HandoffSession {
   /// Covers nothing any more (no objects, no arcs): the owner retires it.
   [[nodiscard]] bool empty() const;
 
+  /// Ring arcs in the coverage: then covers() also takes objects outside
+  /// objects(), including ones first seen after begin.
+  [[nodiscard]] bool hasArcs() const noexcept { return !arcs_.empty(); }
+
+  /// The explicit object set (a copy): for a session without arcs, exactly
+  /// what it covers.
+  [[nodiscard]] std::vector<util::MobileObjectId> objects() const;
+
   /// Tap fragment: removes and consumes the readings this session covers
   /// (buffered before flush(), forwarded after), returns the rest.
   [[nodiscard]] std::vector<db::SensorReading> filter(std::vector<db::SensorReading> batch);

@@ -433,7 +433,11 @@ bool ShardHost::endMigration(std::uint64_t session) {
   auto found = sessionById(session);
   if (!found || !found->forwarding()) return false;  // unknown, or end before flush
   auto& database = core_->database();
-  for (const auto& object : database.knownMobileObjects()) {
+  // A session without arcs covers exactly its objects (begin resolved any
+  // rects into them), so the drop costs what moved, not what stays. Arcs
+  // also cover objects first seen after begin, which only a scan finds.
+  const auto candidates = found->hasArcs() ? database.knownMobileObjects() : found->objects();
+  for (const auto& object : candidates) {
     if (found->covers(object)) database.dropMobileObject(object);
   }
   return true;

@@ -1,15 +1,10 @@
-// City generator determinism, the log-linear histogram, the open-loop load
-// harness (coordinated-omission self-test) and the population engine.
+// City generator determinism, the log-linear histogram and the population
+// engine.
 #include <gtest/gtest.h>
-
-#include <atomic>
-#include <chrono>
-#include <thread>
 
 #include "citysim/city.hpp"
 #include "citysim/crowd_monitor.hpp"
 #include "citysim/histogram.hpp"
-#include "citysim/loadgen.hpp"
 #include "citysim/population.hpp"
 #include "core/location_service.hpp"
 #include "util/clock.hpp"
@@ -104,59 +99,6 @@ TEST(LatencyHistogramTest, MergeAndPercentiles) {
   EXPECT_GE(a.valueAtPercentile(99), 100'000u * 31 / 32);
   EXPECT_EQ(a.valueAtPercentile(100), a.max());
   EXPECT_NEAR(a.mean(), (900.0 * 100 + 100.0 * 100'000) / 1000, 1.0);
-}
-
-// The coordinated-omission self-test: a single 100 ms server stall must
-// surface in the corrected (arrival-schedule) percentiles even though only
-// one operation was actually slow. A closed-loop or skip-late harness would
-// report one slow sample and a clean tail — exactly the lie open-loop
-// correction exists to prevent.
-TEST(OpenLoopLoadGenTest, ServerStallSurfacesInCorrectedTail) {
-  static constexpr double kRate = 400;      // arrivals/s
-  static constexpr double kDuration = 0.5;  // s -> 200 arrivals
-  static constexpr auto kStall = std::chrono::milliseconds(100);
-
-  OpenLoopLoadGen stalled(kDuration);
-  stalled.addClass(OpClassSpec{"stalled", kRate, 1, [](std::uint64_t seq) {
-                                 if (seq == 20) std::this_thread::sleep_for(kStall);
-                               }});
-  const auto stalledResults = stalled.run();
-  ASSERT_EQ(stalledResults.size(), 1u);
-  const OpClassResult& r = stalledResults[0];
-  EXPECT_EQ(r.completed, static_cast<std::uint64_t>(kRate * kDuration));
-
-  // ~40 arrivals queued behind the stall, delays decaying from 100 ms: the
-  // p90..p999 corrected tail must show tens of milliseconds.
-  EXPECT_GE(r.corrected.valueAtPercentile(99.9), 50'000'000u);
-  EXPECT_GE(r.corrected.valueAtPercentile(99), 30'000'000u);
-  // The service-time histogram sees one slow call; its p90 stays flat.
-  EXPECT_LT(r.service.valueAtPercentile(90), 20'000'000u);
-
-  // Control run without the stall: corrected tail stays near scheduler
-  // jitter, far below the stalled run.
-  OpenLoopLoadGen control(kDuration);
-  control.addClass(OpClassSpec{"control", kRate, 1, [](std::uint64_t) {}});
-  const auto controlResults = control.run();
-  EXPECT_LT(controlResults[0].corrected.valueAtPercentile(99),
-            r.corrected.valueAtPercentile(99) / 2);
-}
-
-TEST(OpenLoopLoadGenTest, DrainsBacklogPastDeadlineInsteadOfSkipping) {
-  // Every op takes ~4 ms but arrivals come at 1 kHz: the run must still
-  // complete EVERY scheduled arrival (no skips = no omission), far past the
-  // nominal deadline.
-  OpenLoopLoadGen gen(0.1);
-  std::atomic<std::uint64_t> executed{0};
-  gen.addClass(OpClassSpec{"slow", 1000, 1, [&](std::uint64_t) {
-                             executed.fetch_add(1);
-                             std::this_thread::sleep_for(std::chrono::milliseconds(4));
-                           }});
-  const auto results = gen.run();
-  EXPECT_EQ(results[0].completed, 100u);
-  EXPECT_EQ(executed.load(), 100u);
-  // Overload shows up as a monotone-growing corrected tail.
-  EXPECT_GT(results[0].corrected.valueAtPercentile(99),
-            results[0].service.valueAtPercentile(99));
 }
 
 TEST(PopulationTest, DeterministicReplay) {

@@ -27,6 +27,7 @@
 #include "core/codec.hpp"
 #include "core/middlewhere.hpp"
 #include "core/remote_registry.hpp"
+#include "orb/tcp.hpp"
 #include "util/error.hpp"
 
 namespace mw::cluster {
@@ -82,6 +83,12 @@ RetryPolicy fastRetry() {
 util::Bytes estimateBytes(const fusion::LocationEstimate& est) {
   util::ByteWriter w;
   core::encodeEstimate(w, est);
+  return w.bytes();
+}
+
+util::Bytes logBytes(const std::vector<db::SensorReading>& log) {
+  util::ByteWriter w;
+  for (const auto& reading : log) core::encodeReading(w, reading);
   return w.bytes();
 }
 
@@ -681,6 +688,89 @@ TEST_F(ClusterSpatialTest, BoundaryCrossingMigratesBackAndForthOnBoundedResource
   }
   EXPECT_EQ(residentTokens("shuttle"), (std::vector<std::string>{"a"}));
   expectOracleEquivalence({"shuttle", "west-resident", "east-resident"}, "after the shuttle");
+}
+
+TEST_F(ClusterSpatialTest, CrossingDropsOnlyTheMoverFromAThousandResidents) {
+  // migrate.end on the losing side drops the session's own objects: a one-
+  // object crossing must leave every other resident's state untouched.
+  startClusters({"a", "b"});
+  const TerritoryMap map = router_->territorySnapshot();
+  const geo::Rect westLeaf = map.leavesOf("a").front().rect;
+  const geo::Point2 west = westLeaf.center();
+  const geo::Point2 east = map.leavesOf("b").front().rect.center();
+  db::SpatialDatabase& loser = spaceHosts_.at("a")->core().database();
+
+  constexpr int kResidents = 1000;
+  for (int i = 0; i < kResidents; ++i) {
+    const geo::Point2 where{westLeaf.lo().x + 1.0 + static_cast<double>(i % 40),
+                            westLeaf.lo().y + 1.0 + static_cast<double>(i / 40)};
+    ingestBoth(makeReading(clock_.now(), where, "resident-" + std::to_string(i)));
+  }
+  const std::string mover = "mover";
+  ingestBoth(makeReading(clock_.now(), west, mover));
+  const std::vector<MobileObjectId> before = loser.knownMobileObjects();
+  ASSERT_EQ(before.size(), static_cast<std::size_t>(kResidents) + 1);
+  std::map<MobileObjectId, std::pair<std::uint64_t, util::Bytes>> residentState;
+  for (const auto& object : before) {
+    if (object.str() == mover) continue;
+    residentState[object] = {loser.readingsEpoch(object),
+                             logBytes(loser.exportObjectLog(object))};
+  }
+
+  clock_.advance(util::msec(20));
+  ingestBoth(makeReading(clock_.now(), east, mover));
+  ASSERT_EQ(router_->stats().objectMigrations, 1u);
+
+  // The loser knows the old set minus the mover; nobody else changed.
+  std::vector<MobileObjectId> expected = before;
+  std::erase(expected, MobileObjectId{mover});
+  EXPECT_EQ(loser.knownMobileObjects(), expected);
+  for (const auto& [object, state] : residentState) {
+    EXPECT_EQ(loser.readingsEpoch(object), state.first) << object.str();
+    EXPECT_EQ(logBytes(loser.exportObjectLog(object)), state.second) << object.str();
+  }
+  EXPECT_TRUE(loser.exportObjectLog(MobileObjectId{mover}).empty());
+
+  // The gainer answers for the mover exactly like the oracle.
+  auto gainer = spaceHosts_.at("b")->core().connectLocal();
+  const auto fromGainer = gainer->locate(MobileObjectId{mover});
+  const auto fromOracle = oracle_->locate(MobileObjectId{mover});
+  ASSERT_TRUE(fromGainer.has_value());
+  ASSERT_TRUE(fromOracle.has_value());
+  EXPECT_EQ(estimateBytes(*fromGainer), estimateBytes(*fromOracle));
+  expectOracleEquivalence({mover, "resident-0", "resident-999"}, "after A->B");
+
+  // Crossing back (A->B->A) leaves A with exactly the oracle's log.
+  clock_.advance(util::msec(20));
+  ingestBoth(makeReading(clock_.now(), west, mover));
+  ASSERT_EQ(router_->stats().objectMigrations, 2u);
+  EXPECT_EQ(logBytes(loser.exportObjectLog(MobileObjectId{mover})),
+            logBytes(oracle_->exportReadings(MobileObjectId{mover})));
+  EXPECT_EQ(loser.knownMobileObjects(), before);
+  expectOracleEquivalence({mover}, "after A->B->A");
+
+  // A covered object whose readings have all expired and been purged is
+  // dropped too, history ring and all: the gainer imported that history, so
+  // the loser keeps no stale copy.
+  clock_.advance(util::sec(31));
+  loser.purgeExpired();
+  ASSERT_TRUE(loser.knownMobileObjects().empty());
+  const MobileObjectId faded{"resident-7"};
+  const std::vector<db::SensorReading> fadedLog = loser.exportObjectLog(faded);
+  ASSERT_FALSE(fadedLog.empty());
+  gainer->importBatch(fadedLog);
+  orb::RpcClient rpc(orb::tcpConnect("127.0.0.1", spaceHosts_.at("a")->port()));
+  MigrateRequest request;
+  request.gainerToken = "b";
+  request.gainer = core::Endpoint{"127.0.0.1", spaceHosts_.at("b")->port()};
+  request.objects = {faded};
+  const MigrateBegun begun = callMigrateBegin(rpc, request);
+  ASSERT_TRUE(callMigrateFlush(rpc, begun.session));
+  ASSERT_TRUE(callMigrateEnd(rpc, begun.session));
+  EXPECT_TRUE(loser.exportObjectLog(faded).empty());
+  EXPECT_EQ(logBytes(gainer->exportReadings(faded)), logBytes(fadedLog));
+  const MobileObjectId untouched{"resident-8"};
+  EXPECT_EQ(logBytes(loser.exportObjectLog(untouched)), residentState.at(untouched).second);
 }
 
 TEST_F(ClusterSpatialTest, BalancerDaemonSplitsInTheBackgroundAndStopsCleanly) {
